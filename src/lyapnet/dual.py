@@ -16,14 +16,17 @@ randomized incremental (RISM) subgradient steps, locates U*_V, probes the
 local geometry of the dual (polyhedral vs smooth), checks the structural
 assumptions (slackness, scaling, subgradient inequality), and computes the
 attraction-theorem constants.
+
+U*_V is found by one exact LP when every state has a finite action table
+(q is then piecewise-linear and concave), and by projected subgradient
+ascent plus golden-section polish for continuous action families.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -174,6 +177,11 @@ def _check_multiplier(u, r: int) -> np.ndarray:
     return u
 
 
+def _check_V(V) -> None:
+    if not (V > 0 and math.isfinite(V)):
+        raise ValueError(f"V must be positive and finite, got {V!r}")
+
+
 def evaluate_dual(spec: NetworkSpec, V: float, u) -> DualEval:
     """Evaluate q(u) with a subgradient.
 
@@ -181,8 +189,7 @@ def evaluate_dual(spec: NetworkSpec, V: float, u) -> DualEval:
     minimizers; its Euclidean norm never exceeds B.
     """
     u = _check_multiplier(u, spec.r)
-    if not (V > 0):
-        raise ValueError(f"V must be positive, got {V!r}")
+    _check_V(V)
     value = 0.0
     G = np.zeros(spec.r)
     actions = []
@@ -303,146 +310,6 @@ def _probe_local_optimality(spec, V, u_star, q_star, rng, n=100, radius=None,
     return ok
 
 
-def _coordinate_profile(spec, tab, V, u, j):
-    """Per-state (base, slope) arrays of the dual along coordinate j."""
-    profiles = []
-    for i in range(spec.n_states):
-        gmb = -tab.sma[i]  # arrivals minus services
-        base = V * tab.cost[i] + gmb @ u - gmb[:, j] * u[j]
-        profiles.append((base, gmb[:, j]))
-    return profiles
-
-
-def _profile_eval(spec, profiles, zs: np.ndarray) -> np.ndarray:
-    out = np.zeros(len(zs))
-    for prob, (base, d) in zip(spec.probs, profiles):
-        out += prob * (base[None, :] + zs[:, None] * d[None, :]).min(axis=1)
-    return out
-
-
-def _breakpoint_snap(spec: NetworkSpec, V: float, u: np.ndarray,
-                     max_rounds: int = 12) -> np.ndarray:
-    """Exact coordinate ascent over breakpoints of the piecewise-linear dual.
-
-    Along one coordinate the dual is a probability mix of lower envelopes
-    of lines, so its maximum sits at a pairwise tie point of some state's
-    lines (or at 0).  Tie points are computed in closed form, which lets
-    vertex coordinates come out exact instead of golden-section-close.
-    """
-    tab = tables(spec)
-    u = u.copy()
-    for _ in range(max_rounds):
-        moved = False
-        for j in range(spec.r):
-            profiles = _coordinate_profile(spec, tab, V, u, j)
-            cands = {0.0, float(u[j])}
-            for base, d in profiles:
-                dd = d[:, None] - d[None, :]
-                bb = base[None, :] - base[:, None]
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    z = bb / dd
-                z = z[np.isfinite(z) & (z > 0)]
-                cands.update(z.tolist())
-            zs = np.array(sorted(cands))
-            vals = _profile_eval(spec, profiles, zs)
-            best = int(np.argmax(vals))
-            cur = float(_profile_eval(spec, profiles, np.array([u[j]]))[0])
-            if vals[best] > cur and zs[best] != u[j]:
-                u[j] = zs[best]
-                moved = True
-        if not moved:
-            break
-    return u
-
-
-def _solve_exact(rows, rhs, r):
-    """Solve rows @ u = rhs in exact rational arithmetic.
-
-    Returns the unique solution as floats, or None when the system is
-    underdetermined or inconsistent.  Floats are dyadic rationals, so the
-    elimination is exact; the only rounding is the final conversion.
-    """
-    if not rows:
-        return None
-    aug = [[Fraction(float(v)) for v in row] + [Fraction(float(b))]
-           for row, b in zip(rows, rhs)]
-    n_rows = len(aug)
-    piv_cols = []
-    rix = 0
-    for col in range(r):
-        p = next((k for k in range(rix, n_rows) if aug[k][col] != 0), None)
-        if p is None:
-            continue
-        aug[rix], aug[p] = aug[p], aug[rix]
-        pv = aug[rix][col]
-        aug[rix] = [x / pv for x in aug[rix]]
-        for k in range(n_rows):
-            if k != rix and aug[k][col] != 0:
-                f = aug[k][col]
-                aug[k] = [a - f * b for a, b in zip(aug[k], aug[rix])]
-        piv_cols.append(col)
-        rix += 1
-        if rix == n_rows:
-            break
-    if len(piv_cols) < r:
-        return None
-    if any(aug[k][r] != 0 for k in range(rix, n_rows)):
-        return None
-    sol = np.zeros(r)
-    for prow, col in enumerate(piv_cols):
-        sol[col] = float(aug[prow][r])
-    return sol
-
-
-def _rational_vertex(spec: NetworkSpec, V: float, u: np.ndarray) -> np.ndarray:
-    """Exactify a near-optimal multiplier of a finite (piecewise-linear) dual.
-
-    Coordinate moves stall near vertices whose defining kinks run along
-    diagonal directions, and float accumulation cannot land on the vertex
-    bit for bit.  Instead, collect the action pairs that nearly tie in the
-    per-state minimization (under a ladder of tolerances), solve the
-    resulting equality system exactly, and keep the best candidate by
-    dual value.  Any consistent full-rank subset of truly-active ties
-    pins the same vertex, so wrong rungs either fail rank/consistency or
-    score worse; the result never regresses below the input point.
-    """
-    tab = tables(spec)
-    rel = max(1.0, float(V), float(np.max(u, initial=0.0)))
-    best_u = u
-    best_q = evaluate_dual(spec, V, u).value
-    for t in (1e-12, 1e-9, 1e-7, 1e-5, 1e-3, 1e-2):
-        tol = t * rel
-        seen = set()
-        rows, rhs = [], []
-        for i in range(spec.n_states):
-            gmb = -tab.sma[i]
-            vals = V * tab.cost[i] + gmb @ u
-            near = np.flatnonzero(vals <= vals.min() + tol)
-            k0 = int(near[0])
-            for k in near[1:]:
-                row = gmb[k0] - gmb[int(k)]
-                b = V * tab.cost[i][int(k)] - V * tab.cost[i][k0]
-                key = (tuple(row.tolist()), float(b))
-                if key not in seen:
-                    seen.add(key)
-                    rows.append(row)
-                    rhs.append(b)
-        for j in range(spec.r):
-            if u[j] <= 1e-6 * rel:  # boundary coordinate pinned at zero
-                e = np.zeros(spec.r)
-                e[j] = 1.0
-                rows.append(e)
-                rhs.append(0.0)
-        cand = _solve_exact(rows, rhs, spec.r)
-        if cand is None or (cand < 0).any():
-            continue
-        qc = evaluate_dual(spec, V, cand).value
-        # >= so a float-equal exact tie point replaces a merely-polished one
-        if qc >= best_q:
-            best_q, best_u = qc, cand
-    return best_u
-
-
 def _golden_polish(spec, V, u, rounds, span, tol):
     """Coordinate-wise golden-section ascent on q (works on any scenario)."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -484,19 +351,66 @@ def _golden_polish(spec, V, u, rounds, span, tol):
     return u
 
 
+def _finite_lp_maximizer(spec: NetworkSpec, V: float) -> tuple[np.ndarray, int]:
+    """Maximize the piecewise-linear dual of a finite-table scenario exactly.
+
+    q(u) = sum_i p_i min_k (V c_ik + u . d_ik) with d = arrivals - services
+    is the LP  max p . t  over (u >= 0, t free)  subject to
+    t_i - u . d_ik <= V c_ik  for every state i and action k.  Returns the
+    u-part of a HiGHS vertex solution and the solver's iteration count.
+    """
+    from scipy.optimize import linprog
+
+    tab = tables(spec)
+    r, n = spec.r, spec.n_states
+    blocks = []
+    for i in range(n):
+        pick_t = np.zeros((len(tab.cost[i]), n))
+        pick_t[:, i] = 1.0
+        blocks.append(np.hstack([tab.sma[i], pick_t]))  # sma = -d
+    A_ub = np.concatenate(blocks)
+    b_ub = V * np.concatenate(tab.cost)
+    c = np.concatenate([np.zeros(r), -spec.probs])
+    bounds = [(0.0, None)] * r + [(None, None)] * n
+    res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    if res.status != 0:
+        raise ConvergenceError(
+            f"dual LP for {spec.name!r} at V={V} failed: {res.message}")
+    return np.maximum(res.x[:r], 0.0), int(res.nit)
+
+
+_ASCENT_ITERS = 4000
+_ASCENT_STEP_B = 200.0
+
+
+def _subgradient_ascent(spec: NetworkSpec, V: float) -> np.ndarray:
+    """Projected subgradient ascent with steps alpha_t = a/(1 + t/b), then polish."""
+    step_a = max(1.0, 0.1 * V)
+    u = np.full(spec.r, float(V))
+    best_u, best_q = u.copy(), evaluate_dual(spec, V, u).value
+    for t in range(_ASCENT_ITERS):
+        alpha = step_a / (1.0 + t / _ASCENT_STEP_B)
+        ev = evaluate_dual(spec, V, u)
+        if ev.value > best_q:
+            best_q, best_u = ev.value, u.copy()
+        u = np.maximum(u + alpha * ev.subgradient, 0.0)
+    span = max(2.0 * spec.B, 0.05 * V, 1.0)
+    return _golden_polish(spec, V, best_u, rounds=8, span=span, tol=1e-10 * max(1.0, V))
+
+
 def find_optimal_multiplier(scenario, V: float, method: str = "auto",
                             rng: "np.random.Generator | int | None" = None,
-                            max_iter: int = 4000,
-                            step_a: "float | None" = None,
-                            step_b: float = 200.0,
                             probe_directions: int = 100) -> MultiplierResult:
     """Locate the dual maximizer U*_V.
 
     With ``method="auto"`` a registered closed form is returned directly;
-    ``method="numeric"`` forces the search: projected subgradient ascent
-    with diminishing steps alpha_t = a/(1 + t/b), coordinate-wise
-    golden-section polish, and (finite tables) an exact breakpoint snap.
-    The result must pass a local-optimality probe of random perturbations;
+    ``method="numeric"`` forces a search.  Finite action tables make the
+    dual piecewise-linear, so its maximum is one small LP solved exactly
+    by HiGHS (``iterations`` is the solver's count); an unbounded dual (no
+    multiplier stabilizes the queues) raises :class:`ConvergenceError`.
+    Continuous families get projected subgradient ascent with diminishing
+    steps followed by coordinate-wise golden-section polish.  Either way
+    the result must pass a local-optimality probe of random perturbations;
     a failed probe raises :class:`ConvergenceError` with the best iterate.
 
     If the dual maximizer is not unique the returned point is one maximizer
@@ -508,6 +422,7 @@ def find_optimal_multiplier(scenario, V: float, method: str = "auto",
         rng = np.random.default_rng(0 if rng is None else int(rng))
     if method not in ("auto", "closed-form", "numeric"):
         raise ValueError(f"unknown method {method!r}")
+    _check_V(V)
     if method in ("auto", "closed-form") and handle.u_star is not None:
         u = np.asarray(handle.u_star(V), dtype=float)
         ev = evaluate_dual(spec, V, u)
@@ -516,26 +431,12 @@ def find_optimal_multiplier(scenario, V: float, method: str = "auto",
     if method == "closed-form":
         raise ValueError(f"scenario {spec.name!r} has no registered closed form")
 
-    # Subgradient warmup from a V-scaled start.
-    if step_a is None:
-        step_a = max(1.0, 0.1 * V)
-    u = np.full(spec.r, float(V))
-    best_u, best_q = u.copy(), evaluate_dual(spec, V, u).value
-    for t in range(max_iter):
-        alpha = step_a / (1.0 + t / step_b)
-        ev = evaluate_dual(spec, V, u)
-        if ev.value > best_q:
-            best_q, best_u = ev.value, u.copy()
-        u = np.maximum(u + alpha * ev.subgradient, 0.0)
-    u = best_u
-
-    span = max(2.0 * spec.B, 0.05 * V, 1.0)
-    u = _golden_polish(spec, V, u, rounds=8, span=span, tol=1e-10 * max(1.0, V))
     if spec.is_finite:
-        u = _breakpoint_snap(spec, V, u)
-        u = _rational_vertex(spec, V, u)
+        u, iterations = _finite_lp_maximizer(spec, V)
+    else:
+        u, iterations = _subgradient_ascent(spec, V), _ASCENT_ITERS
     ev = evaluate_dual(spec, V, u)
-    result = MultiplierResult(u, ev.value, "numeric", max_iter, True)
+    result = MultiplierResult(u, ev.value, "numeric", iterations, True)
     if not _probe_local_optimality(spec, V, u, ev.value, rng, n=probe_directions):
         result.probe_ok = False
         raise ConvergenceError(

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -336,7 +336,7 @@ def load_spec_json(path: str) -> NetworkSpec:
 
 @dataclass
 class _Tables:
-    """Per-state numpy views of a finite scenario, stacked dense when uniform.
+    """Per-state numpy views of a finite scenario.
 
     ``sma`` is services minus arrivals, the coefficient of the backlog vector
     in every per-slot score.
@@ -346,11 +346,6 @@ class _Tables:
     arr: list[np.ndarray]
     svc: list[np.ndarray]
     sma: list[np.ndarray]
-    dense: bool
-    cost_m: np.ndarray | None = None
-    arr_m: np.ndarray | None = None
-    svc_m: np.ndarray | None = None
-    sma_m: np.ndarray | None = None
 
 
 def tables(spec: NetworkSpec) -> _Tables:
@@ -369,12 +364,6 @@ def tables(spec: NetworkSpec) -> _Tables:
         arr.append(A)
         svc.append(S)
         sma.append(S - A)
-    sizes = {len(st.actions) for st in spec.states}
-    tab = _Tables(cost, arr, svc, sma, dense=len(sizes) == 1)
-    if tab.dense:
-        tab.cost_m = np.stack(cost)
-        tab.arr_m = np.stack(arr)
-        tab.svc_m = np.stack(svc)
-        tab.sma_m = np.stack(sma)
+    tab = _Tables(cost, arr, svc, sma)
     spec._tables = tab
     return tab

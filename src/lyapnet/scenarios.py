@@ -192,7 +192,7 @@ def single_queue_discrete() -> ScenarioHandle:
 
     spec = NetworkSpec("single-queue-discrete", 1, 1.0, [state(0.0), state(1.0)])
     # written as the tie (V c(3/4) - V c(1/4)) / (3/4 - 1/4) so the closed
-    # form and the numeric breakpoint search agree bit for bit
+    # form and the numeric LP search agree bit for bit
     return ScenarioHandle(
         spec=spec,
         u_star=lambda V: np.array(

@@ -15,7 +15,7 @@ bit-identical report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -410,8 +410,15 @@ def run(config: RunConfig) -> SimReport:
         raise ValueError(f"unknown algorithm {config.algorithm!r}; choose from {ALGORITHMS}")
     if config.slots < 1:
         raise ValueError(f"slots must be positive, got {config.slots}")
-    if not (config.V > 0):
-        raise ValueError(f"V must be positive, got {config.V!r}")
+    if not (config.V > 0 and math.isfinite(config.V)):
+        raise ValueError(f"V must be positive and finite, got {config.V!r}")
+    u0 = np.zeros(spec.r)
+    if config.initial_backlog is not None:
+        u0 = np.asarray(config.initial_backlog, dtype=float)
+        if u0.shape != (spec.r,):
+            raise ValueError(f"initial_backlog must have shape ({spec.r},), got {u0.shape}")
+        if not (np.isfinite(u0) & (u0 >= 0)).all():
+            raise ValueError(f"initial_backlog must be finite and nonnegative, got {u0}")
     slots = int(config.slots)
     burn_in = config.burn_in
     if burn_in is None:
@@ -433,10 +440,6 @@ def run(config: RunConfig) -> SimReport:
         U, W, costs, acts, drops_t, arr_sum, drop_sum = loop(
             spec, config.V, idx, wl, burn_in)
     else:
-        if config.initial_backlog is not None:
-            u0 = np.asarray(config.initial_backlog, dtype=float)
-        else:
-            u0 = np.zeros(spec.r)
         loop = _loop_qla_finite if kind == "finite" else _loop_qla_cont
         U, costs, acts, arr_sum = loop(spec, config.V, idx, u0, burn_in)
 

@@ -260,6 +260,19 @@ def test_analyze_sandwich_needs_w_columns(single_queue_trace, capsys):
     capsys.readouterr()
 
 
+def test_analyze_sandwich_tolerates_csv_rounding(tmp_path, capsys):
+    """At V=1000 the trace's 12-digit rounding exceeds 1e-9; a clean run stays clean."""
+    trace = tmp_path / "t.csv"
+    assert main(["run", "--scenario", "single-queue-continuous", "--alg",
+                 "fqla-ideal", "--V", "1000", "--slots", "20000", "--seed", "0",
+                 "--trace", str(trace)]) == 0
+    code = main(["analyze", "--scenario", "single-queue-continuous", "--V", "1000",
+                 "--trace", str(trace), "--mode", "sandwich"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "violations: 0" in out
+
+
 def test_analyze_absorption_single_queue(single_queue_trace, capsys):
     code = main(["analyze", "--scenario", "single-queue-continuous", "--V", "20",
                  "--trace", str(single_queue_trace), "--mode", "absorption"])

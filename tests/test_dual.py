@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -64,6 +67,8 @@ def test_evaluate_dual_rejects_bad_multipliers(tiny_spec):
         evaluate_dual(tiny_spec, 1.0, [1.0, -0.5])
     with pytest.raises(ValueError, match="V must be positive"):
         evaluate_dual(tiny_spec, 0.0, [1.0, 1.0])
+    with pytest.raises(ValueError, match="V must be positive and finite"):
+        evaluate_dual(tiny_spec, math.inf, [1.0, 1.0])
 
 
 def test_concavity_audit(five):
@@ -195,6 +200,36 @@ def test_find_optimal_multiplier_validation(five, tiny_spec):
         find_optimal_multiplier(five, 10.0, method="grid")
     with pytest.raises(ValueError, match="no registered closed form"):
         find_optimal_multiplier(tiny_spec, 10.0, method="closed-form")
+
+
+def test_lp_search_off_grid_v_matches_closed_form(five):
+    V = 3.7
+    res = find_optimal_multiplier(five, V, method="numeric")
+    assert res.probe_ok
+    assert np.abs(res.u_star - five.u_star(V)).max() <= 1e-12 * V
+
+
+def test_lp_search_overloaded_queue_raises():
+    # one packet arrives every slot but at most half a packet is served
+    spec = NetworkSpec("overloaded", 1, 1.0, [
+        StateSpec(1.0, [ActionRecord(0.0, [1.0], [0.0]),
+                        ActionRecord(1.0, [1.0], [0.5])]),
+    ])
+    with pytest.raises(ConvergenceError) as err:
+        find_optimal_multiplier(spec, 10.0, method="numeric")
+    assert err.value.best is None
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    """scipy.optimize costs several times the package import; load it lazily."""
+    import lyapnet
+
+    src = os.path.dirname(os.path.dirname(lyapnet.__file__))
+    code = "import sys, lyapnet; print('scipy.optimize' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_convergence_error_carries_best():

@@ -18,6 +18,7 @@ from lyapnet.sim import (
     run,
     write_report_csv,
     write_trace_csv,
+    _invariant_scan,
 )
 
 
@@ -71,6 +72,11 @@ def test_burn_in_default_rule(five):
 @pytest.mark.parametrize("kw,msg", [
     (dict(slots=0), "slots"),
     (dict(V=0.0), "V must be positive"),
+    (dict(V=float("inf")), "V must be positive and finite"),
+    (dict(V=float("nan")), "V must be positive and finite"),
+    (dict(initial_backlog=np.array([1.0, 2.0, 3.0])), r"initial_backlog must have shape \(5,\)"),
+    (dict(initial_backlog=np.array([1.0, 1.0, -1.0, 1.0, 1.0])), "initial_backlog must be"),
+    (dict(initial_backlog=np.array([1.0, 1.0, np.inf, 1.0, 1.0])), "initial_backlog must be"),
     (dict(burn_in=5_000), "burn_in"),
     (dict(algorithm="greedy"), "unknown algorithm"),
 ])
@@ -251,10 +257,12 @@ def test_fit_tail_needs_tail_mass():
 
 
 def test_invariant_scan_rejects_negative_start(five):
+    # run() rejects a negative initial_backlog up front, so the scan gets
+    # the bad path directly
+    U = np.zeros((3, five.spec.r))
+    U[0, 0] = -1.0
     with pytest.raises(SimInvariantError) as err:
-        run(RunConfig(scenario=five, V=50.0, slots=100, seed=0,
-                      check_invariants=True,
-                      initial_backlog=np.array([-1.0, 0, 0, 0, 0])))
+        _invariant_scan(five.spec, np.array([0, 1]), U, None, None, None)
     assert err.value.slot == 0
     assert "negative" in str(err.value)
 
