@@ -72,13 +72,13 @@ def test_burn_in_default_rule(five):
 @pytest.mark.parametrize("kw,msg", [
     (dict(slots=0), "slots"),
     (dict(V=0.0), "V must be positive"),
+    (dict(burn_in=5_000), "burn_in"),
+    (dict(algorithm="greedy"), "unknown algorithm"),
     (dict(V=float("inf")), "V must be positive and finite"),
     (dict(V=float("nan")), "V must be positive and finite"),
     (dict(initial_backlog=np.array([1.0, 2.0, 3.0])), r"initial_backlog must have shape \(5,\)"),
     (dict(initial_backlog=np.array([1.0, 1.0, -1.0, 1.0, 1.0])), "initial_backlog must be"),
     (dict(initial_backlog=np.array([1.0, 1.0, np.inf, 1.0, 1.0])), "initial_backlog must be"),
-    (dict(burn_in=5_000), "burn_in"),
-    (dict(algorithm="greedy"), "unknown algorithm"),
 ])
 def test_run_config_validation(five, kw, msg):
     base = dict(scenario=five, V=50.0, slots=5_000, seed=0)
