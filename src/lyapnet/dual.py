@@ -292,22 +292,34 @@ def rism_step(spec: NetworkSpec, V: float, u, state: int, alpha: float = 1.0) ->
 # -- multiplier search -------------------------------------------------------
 
 
-def _probe_local_optimality(spec, V, u_star, q_star, rng, n=100, radius=None,
+def _finite_dual_values(spec: NetworkSpec, V: float, us: np.ndarray) -> np.ndarray:
+    """q at each row of ``us`` (n, r) on finite tables, in one pass over the stacks.
+
+    q(u) = sum_i p_i min_k (V c_ik - u . sma_ik); padded actions cost +inf
+    and never attain the minimum.
+    """
+    tab = tables(spec)
+    terms = V * tab.cost_pad[:, :, None] - np.matmul(tab.sma_pad, us.T)  # (S, A, n)
+    return spec.probs @ terms.min(axis=1)
+
+
+def _probe_local_optimality(spec, V, u_star, q_star, rng, n=100, radius=0.5,
                             tol=1e-9) -> bool:
-    r = spec.r
-    if radius is None:
-        radius = 0.5
-    ok = True
-    for _ in range(n):
-        d = rng.standard_normal(r)
-        nrm = float(np.linalg.norm(d))
-        if nrm == 0.0:
-            continue
-        cand = np.maximum(u_star + (radius / nrm) * d, 0.0)
-        if evaluate_dual(spec, V, cand).value > q_star + tol:
-            ok = False
-            break
-    return ok
+    """False when q exceeds q_star + tol at some point ``radius`` away from u_star.
+
+    The n directions are standard normal draws, clipped back to u >= 0
+    after scaling; finite tables evaluate every probe point at once.
+    """
+    d = rng.standard_normal((n, spec.r))
+    # Row by row: np.linalg.norm(d, axis=1) rounds differently in the last bit.
+    nrm = np.array([np.linalg.norm(row) for row in d])
+    keep = nrm > 0.0
+    cands = np.maximum(u_star + (radius / nrm[keep])[:, None] * d[keep], 0.0)
+    if spec.is_finite:
+        q = _finite_dual_values(spec, V, cands)
+    else:
+        q = np.array([evaluate_dual(spec, V, c).value for c in cands])
+    return not (q > q_star + tol).any()
 
 
 def _golden_polish(spec, V, u, rounds, span, tol):

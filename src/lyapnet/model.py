@@ -133,20 +133,24 @@ class NetworkSpec:
         if not self.states:
             raise ValidationError("states", "must contain at least one state")
         total = 0.0
+        finite = isinstance(self.states[0].actions, list)
         for i, st in enumerate(self.states):
             path = f"states[{i}]"
             if not (st.prob >= 0):
                 raise ValidationError(f"{path}.prob", f"must be nonnegative, got {st.prob!r}")
             total += st.prob
-            if isinstance(st.actions, ContinuousActions):
-                self._validate_continuous(path, st.actions)
-            elif isinstance(st.actions, list):
+            if not isinstance(st.actions, (list, ContinuousActions)):
+                raise ValidationError(f"{path}.actions", f"unsupported action set {type(st.actions).__name__}")
+            if isinstance(st.actions, list) != finite:
+                raise ValidationError(f"{path}.actions", "mixes finite tables and continuous "
+                                      "families; every state must be of state 0's kind")
+            if finite:
                 if not st.actions:
                     raise ValidationError(f"{path}.actions", "must contain at least one action")
                 for k, act in enumerate(st.actions):
                     self._validate_action(f"{path}.actions[{k}]", act)
             else:
-                raise ValidationError(f"{path}.actions", f"unsupported action set {type(st.actions).__name__}")
+                self._validate_continuous(path, st.actions)
         if abs(total - 1.0) > _PROB_TOL:
             raise ValidationError("states", f"probabilities sum to {total!r}, expected 1")
 
@@ -336,20 +340,28 @@ def load_spec_json(path: str) -> NetworkSpec:
 
 @dataclass
 class _Tables:
-    """Per-state numpy views of a finite scenario.
+    """Numpy views of a finite scenario, per state and stacked.
 
     ``sma`` is services minus arrivals, the coefficient of the backlog vector
-    in every per-slot score.
+    in every per-slot score.  The lists hold one array per state; the
+    ``*_pad`` stacks hold the same tables as (S, A, r) / (S, A) arrays padded
+    to the largest action count A, so batched code can gather many states at
+    once.  Padded actions have cost +inf and zero traffic, so no score that
+    subtracts V * cost (V > 0) ever picks them.
     """
 
     cost: list[np.ndarray]
     arr: list[np.ndarray]
     svc: list[np.ndarray]
     sma: list[np.ndarray]
+    cost_pad: np.ndarray
+    arr_pad: np.ndarray
+    svc_pad: np.ndarray
+    sma_pad: np.ndarray
 
 
 def tables(spec: NetworkSpec) -> _Tables:
-    """Precompute per-state action arrays (cached on the spec)."""
+    """Precompute per-state and padded action arrays (cached on the spec)."""
     cached = getattr(spec, "_tables", None)
     if cached is not None:
         return cached
@@ -364,6 +376,13 @@ def tables(spec: NetworkSpec) -> _Tables:
         arr.append(A)
         svc.append(S)
         sma.append(S - A)
-    tab = _Tables(cost, arr, svc, sma)
+    shape = (spec.n_states, max(len(c) for c in cost))
+    cost_pad = np.full(shape, np.inf)
+    arr_pad, svc_pad = np.zeros(shape + (spec.r,)), np.zeros(shape + (spec.r,))
+    for i, c in enumerate(cost):
+        cost_pad[i, :len(c)] = c
+        arr_pad[i, :len(c)] = arr[i]
+        svc_pad[i, :len(c)] = svc[i]
+    tab = _Tables(cost, arr, svc, sma, cost_pad, arr_pad, svc_pad, svc_pad - arr_pad)
     spec._tables = tab
     return tab

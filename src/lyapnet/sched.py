@@ -139,11 +139,20 @@ def fqla_general_estimate(scenario, V: float, T: "int | None" = None, K: int = 2
     off by log^2 V.  T defaults to 50 V and must dominate the trajectory's
     settling time for the terminal average to sit near U*_V; K repetitions
     damp the O(log V) per-run fluctuation.  ``rng`` is a base seed or
-    generator; repetition k uses its own substream.
+    generator: repetition k draws its states from ``substream(rng, k)``
+    for a seed and from ``rng.spawn(K)[k]`` for a generator.
+
+    On finite tables the K runs advance in lockstep, one slot of all K per
+    step, and keep only their current backlogs, so memory does not grow
+    with T; each terminal backlog is bit-identical to the one a single
+    run on the same stream reaches.  Continuous families run the K
+    trajectories one after another.
     """
     from . import sim
 
     handle = as_handle(scenario)
+    if not (V > 0 and math.isfinite(V)):
+        raise ValueError(f"V must be positive and finite, got {V!r}")
     if T is None:
         T = int(50 * V)
     if T < 1 or K < 1:
@@ -152,9 +161,11 @@ def fqla_general_estimate(scenario, V: float, T: "int | None" = None, K: int = 2
         streams = rng.spawn(K)
     else:
         streams = [substream(int(rng), k) for k in range(K)]
-    finals = np.empty((K, handle.spec.r))
-    for k, gen in enumerate(streams):
-        finals[k] = sim._virtual_trajectory_final(handle.spec, V, T, gen)
+    spec = handle.spec
+    if spec.is_finite:
+        finals = sim._lockstep_finals(spec, V, T, streams)
+    else:
+        finals = np.array([sim._virtual_trajectory(spec, V, T, gen)[-1] for gen in streams])
     w_mean = finals.mean(axis=0)
     placeholders = np.maximum(w_mean - math.log(V) ** 2, 0.0)
     return GeneralEstimate(placeholders, w_mean, T, K)

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .dual import per_state_optimum
-from .model import ContinuousActions, NetworkSpec, sample_states, substream, tables
+from .model import NetworkSpec, sample_states, substream, tables
 from .scenarios import ScenarioHandle, as_handle
 from .sched import (
     ALGORITHMS,
@@ -195,6 +195,11 @@ class AbsorptionReport:
 # The loops keep per-slot work to a handful of vector ops; scores and
 # updates use the same expressions as the one-shot API so decisions and
 # backlogs agree bit for bit with qla_decide / rism_step / fqla_step.
+# run() drives one run per call through the four _loop_* functions.
+# _lockstep_finals advances many greedy runs per slot over the padded
+# tables and keeps only their current backlogs; the placeholder warmups
+# use it.  At one run it is about half as fast as _loop_qla_finite, so
+# run() keeps its loops.
 
 
 def _loop_qla_finite(spec, V, idx, u0, burn):
@@ -333,28 +338,43 @@ def _loop_fqla_cont(spec, V, idx, wl, burn):
     return U, W, costs, acts, drops_t, arr_sum, drop_sum
 
 
-def _engine_kind(spec: NetworkSpec) -> str:
-    finite = [isinstance(st.actions, list) for st in spec.states]
-    if all(finite):
-        return "finite"
-    if not any(finite):
-        return "continuous"
-    raise ValueError("scenarios mixing finite and continuous states are not supported")
-
-
 def _virtual_trajectory(spec, V, T, rng, u0=None):
     """Greedy backlog path of length T+1 (used by placeholder estimators)."""
     idx = sample_states(spec, rng, T)
     start = np.zeros(spec.r) if u0 is None else np.asarray(u0, dtype=float)
-    if _engine_kind(spec) == "finite":
-        U, _, _, _ = _loop_qla_finite(spec, V, idx, start, 0)
-    else:
-        U, _, _, _ = _loop_qla_cont(spec, V, idx, start, 0)
+    loop = _loop_qla_finite if spec.is_finite else _loop_qla_cont
+    U, _, _, _ = loop(spec, V, idx, start, 0)
     return U
 
 
-def _virtual_trajectory_final(spec, V, T, rng):
-    return _virtual_trajectory(spec, V, T, rng)[-1]
+_CHUNK = 256  # slots each stream samples at a time in _lockstep_finals
+
+
+def _lockstep_finals(spec, V, T, streams):
+    """Final backlogs (R, r) of R greedy runs of T slots from U(0) = 0.
+
+    Run k draws its states from ``streams[k]``.  The runs advance together,
+    one slot of all R per step, over the padded tables.  States are drawn
+    in chunks of _CHUNK slots per stream; consecutive draws consume a
+    generator exactly like one draw of T states, and the score and queue
+    update use the same operations as _loop_qla_finite, so row k equals
+    ``_virtual_trajectory(spec, V, T, streams[k])[-1]`` bit for bit.
+    Memory is O(R (r + _CHUNK)) whatever T is.
+    """
+    tab = tables(spec)
+    vcost, sma, arr, svc = V * tab.cost_pad, tab.sma_pad, tab.arr_pad, tab.svc_pad
+    u = np.zeros((len(streams), spec.r))
+    for start in range(0, T, _CHUNK):
+        n = min(_CHUNK, T - start)
+        idx = np.stack([sample_states(spec, g, n) for g in streams], axis=1)
+        for i in idx:
+            sc = np.matmul(sma[i], u[:, :, None])[:, :, 0]
+            sc -= vcost[i]
+            k = sc.argmax(axis=1)
+            u -= svc[i, k]
+            np.maximum(u, 0.0, out=u)
+            u += arr[i, k]
+    return u
 
 
 # -- run ---------------------------------------------------------------------
@@ -426,7 +446,7 @@ def run(config: RunConfig) -> SimReport:
     if not (0 <= burn_in < slots):
         raise ValueError(f"burn_in must lie in [0, slots), got {burn_in}")
 
-    kind = _engine_kind(spec)
+    finite = spec.is_finite
     rng = substream(config.seed, config.stream)
     idx = sample_states(spec, rng, slots)
 
@@ -436,11 +456,11 @@ def run(config: RunConfig) -> SimReport:
     drop_sum = np.zeros(spec.r)
     if is_fqla:
         wl = _resolve_placeholders(handle, config)
-        loop = _loop_fqla_finite if kind == "finite" else _loop_fqla_cont
+        loop = _loop_fqla_finite if finite else _loop_fqla_cont
         U, W, costs, acts, drops_t, arr_sum, drop_sum = loop(
             spec, config.V, idx, wl, burn_in)
     else:
-        loop = _loop_qla_finite if kind == "finite" else _loop_qla_cont
+        loop = _loop_qla_finite if finite else _loop_qla_cont
         U, costs, acts, arr_sum = loop(spec, config.V, idx, u0, burn_in)
 
     # Drop accounting matches the averages: both sides of the fraction

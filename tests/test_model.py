@@ -6,6 +6,7 @@ import pytest
 
 from lyapnet.model import (
     ActionRecord,
+    ContinuousActions,
     NetworkSpec,
     StateSpec,
     ValidationError,
@@ -88,6 +89,14 @@ def test_sample_states_batched_equals_sequential(tiny_spec):
     np.testing.assert_array_equal(batch, seq)
 
 
+def test_sample_states_chunks_equal_one_draw(tiny_spec):
+    """Consecutive draws from one generator continue its stream exactly."""
+    whole = sample_states(tiny_spec, substream(5, 1), 1000)
+    gen = substream(5, 1)
+    chunks = [sample_states(tiny_spec, gen, c) for c in (256, 256, 1, 300, 187)]
+    np.testing.assert_array_equal(np.concatenate(chunks), whole)
+
+
 def test_sample_states_frequencies(tiny_spec):
     idx = sample_states(tiny_spec, substream(0, 0), 200_000)
     assert idx.min() >= 0 and idx.max() < tiny_spec.n_states
@@ -134,6 +143,25 @@ def test_negative_state_probability_rejected():
             StateSpec(1.5, [ActionRecord(0, [0], [0])]),
         ])
     assert err.value.path == "states[0].prob"
+
+
+def _interval_family():
+    return ContinuousActions(0.0, 1.0, cost=lambda x: x * x,
+                             arrivals=lambda x: np.array([0.5]),
+                             services=lambda x: np.array([x]),
+                             dual_argmin=lambda V, u: min(max(u[0] / (2.0 * V), 0.0), 1.0))
+
+
+@pytest.mark.parametrize("first_finite", [True, False])
+def test_mixed_finite_and_continuous_states_rejected(first_finite):
+    table = [ActionRecord(0.0, [0.5], [1.0])]
+    kinds = [table, _interval_family()]
+    if not first_finite:
+        kinds.reverse()
+    with pytest.raises(ValidationError) as err:
+        NetworkSpec("mixed", 1, 1.0, [StateSpec(0.5, kinds[0]), StateSpec(0.5, kinds[1])])
+    assert err.value.path == "states[1].actions"
+    assert "state 0" in str(err.value)
 
 
 # -- config files ------------------------------------------------------------
@@ -216,3 +244,24 @@ def test_tables_cached_and_consistent(tiny_spec):
             np.testing.assert_array_equal(tab.svc[i][k], act.services)
             np.testing.assert_array_equal(
                 tab.sma[i][k], act.services - act.arrivals)
+
+
+def test_padded_tables_match_ragged_tables():
+    spec = NetworkSpec("ragged", 2, 1.5, [
+        StateSpec(0.3, [ActionRecord(0.25, [0.5, 1.25], [0.75, 0.0])]),
+        StateSpec(0.7, [ActionRecord(1.5, [0.0, 0.125], [1.5, 1.0]),
+                        ActionRecord(0.0, [1.0, 0.0], [0.0, 0.375]),
+                        ActionRecord(2.25, [0.0, 0.0], [1.5, 1.5])]),
+    ])
+    tab = tables(spec)
+    assert tab.cost_pad.shape == (2, 3)
+    assert tab.arr_pad.shape == tab.svc_pad.shape == tab.sma_pad.shape == (2, 3, 2)
+    for i, c in enumerate(tab.cost):
+        n = len(c)
+        np.testing.assert_array_equal(tab.cost_pad[i, :n], c)
+        np.testing.assert_array_equal(tab.arr_pad[i, :n], tab.arr[i])
+        np.testing.assert_array_equal(tab.svc_pad[i, :n], tab.svc[i])
+        np.testing.assert_array_equal(tab.sma_pad[i, :n], tab.sma[i])
+        assert np.isposinf(tab.cost_pad[i, n:]).all()
+        for stack in (tab.arr_pad, tab.svc_pad, tab.sma_pad):
+            assert (stack[i, n:] == 0.0).all()

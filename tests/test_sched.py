@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from lyapnet import sim
-from lyapnet.model import ActionRecord, NetworkSpec, StateSpec, queue_update, tables
+from lyapnet import scenarios
+from lyapnet.model import ActionRecord, NetworkSpec, StateSpec, queue_update, substream, tables
 from lyapnet.sched import (
     ALGORITHMS,
     bisection_placeholder,
@@ -178,6 +179,12 @@ def test_general_estimate_zero_arrivals(zero_traffic_spec):
     np.testing.assert_array_equal(est.w_terminal_mean, [0.0])
 
 
+@pytest.mark.parametrize("V", [0.0, -1.0, math.inf, math.nan])
+def test_general_estimate_rejects_bad_v(five, V):
+    with pytest.raises(ValueError, match="V must be positive and finite"):
+        fqla_general_estimate(five, V, T=10, K=2)
+
+
 def test_general_estimate_averaging_damps_variance(five):
     """Terminal averages over K=2 runs scatter less than single runs."""
     spread = {}
@@ -186,6 +193,42 @@ def test_general_estimate_averaging_damps_variance(five):
                 for seed in range(16)]
         spread[K] = float(np.var(vals, ddof=1))
     assert spread[2] <= spread[1]
+
+
+def single_run_mean(spec, V, T, K, rng):
+    """Mean terminal backlog of K one-at-a-time warmups on the estimator's streams."""
+    if isinstance(rng, np.random.Generator):
+        streams = rng.spawn(K)
+    else:
+        streams = [substream(rng, k) for k in range(K)]
+    return np.array([sim._virtual_trajectory(spec, V, T, g)[-1] for g in streams]).mean(axis=0)
+
+
+def _ragged_spec():
+    """Three queues, states with 1-3 actions and non-integer entries."""
+    g = np.random.default_rng(11)
+    states = []
+    for n_actions, prob in ((3, 0.2), (1, 0.35), (2, 0.45)):
+        states.append(StateSpec(prob, [
+            ActionRecord(g.uniform(0.0, 4.0), g.uniform(0.0, 1.7, 3), g.uniform(0.0, 1.7, 3))
+            for _ in range(n_actions)]))
+    return NetworkSpec("ragged", 3, 1.7, states)
+
+
+CHUNK = sim._CHUNK
+
+
+@pytest.mark.parametrize("name", ["five-queue-chain", "two-queue", "single-queue-discrete",
+                                  "ragged"])
+@pytest.mark.parametrize("T,K", [(1, 1), (CHUNK // 2, 3), (2 * CHUNK, 2), (2 * CHUNK + 37, 4)])
+@pytest.mark.parametrize("as_generator", [False, True])
+def test_lockstep_warmups_equal_single_runs(name, T, K, as_generator):
+    spec = _ragged_spec() if name == "ragged" else scenarios.by_name(name).spec
+    V = 40.0
+    est = fqla_general_estimate(spec, V, T=T, K=K,
+                                rng=substream(7) if as_generator else 7)
+    want = single_run_mean(spec, V, T, K, substream(7) if as_generator else 7)
+    assert np.array_equal(est.w_terminal_mean, want)
 
 
 # -- bisection ---------------------------------------------------------------
