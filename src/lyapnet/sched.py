@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dual import _state_argmin
+from .dual import _check_V, _state_argmin
 from .model import NetworkSpec, queue_update, substream
 from .scenarios import as_handle
 
@@ -83,8 +83,7 @@ def fqla_placeholder_ideal(u_star, V: float, regime: str = "polyhedral") -> np.n
     W_cal = max[U*_V - log^2 V * sqrt(V), 0].  Logs are natural.
     """
     u_star = np.asarray(u_star, dtype=float)
-    if not (V > 0):
-        raise ValueError(f"V must be positive, got {V!r}")
+    _check_V(V)
     gap = math.log(V) ** 2
     if regime == "smooth":
         gap *= math.sqrt(V)
@@ -151,8 +150,7 @@ def fqla_general_estimate(scenario, V: float, T: "int | None" = None, K: int = 2
     from . import sim
 
     handle = as_handle(scenario)
-    if not (V > 0 and math.isfinite(V)):
-        raise ValueError(f"V must be positive and finite, got {V!r}")
+    _check_V(V)
     if T is None:
         T = int(50 * V)
     if T < 1 or K < 1:
@@ -211,12 +209,15 @@ def bisection_placeholder(scenario, V: float, T1: "int | None" = None,
     handle = as_handle(scenario)
     spec = handle.spec
     r = spec.r
+    _check_V(V)
     if T1 is None:
         T1 = max(int(math.ceil(math.sqrt(V))), 2)
+    if T1 < 2:
+        raise ValueError(f"T1 must be at least 2 slots, got {T1!r}")
     if guess is None:
         guess = 0.5 * spec.r * spec.delta_max * max(V, 1.0)
-    if guess < 0:
-        raise ValueError(f"guess must be nonnegative, got {guess!r}")
+    if not (guess >= 0 and math.isfinite(guess)):
+        raise ValueError(f"guess must be finite and nonnegative, got {guess!r}")
     thresh = spec.B / math.sqrt(T1)
     lo_b = np.zeros(r)
     hi_b = np.full(r, 2.0 * float(guess))

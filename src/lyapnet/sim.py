@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dual import per_state_optimum
+from .dual import _check_V, _decider, per_state_optimum
 from .model import NetworkSpec, sample_states, substream, tables
 from .scenarios import ScenarioHandle, as_handle
 from .sched import (
@@ -192,148 +192,64 @@ class AbsorptionReport:
 
 # -- core loops --------------------------------------------------------------
 #
-# The loops keep per-slot work to a handful of vector ops; scores and
-# updates use the same expressions as the one-shot API so decisions and
-# backlogs agree bit for bit with qla_decide / rism_step / fqla_step.
-# run() drives one run per call through the four _loop_* functions.
-# _lockstep_finals advances many greedy runs per slot over the padded
-# tables and keeps only their current backlogs; the placeholder warmups
-# use it.  At one run it is about half as fast as _loop_qla_finite, so
-# run() keeps its loops.
+# FQLA is QLA run on a virtual backlog W: W follows the plain queue law and
+# drives every decision, while the actual backlog U admits arrivals only
+# in so far as W stays at or above the placeholders.  QLA is the case
+# without placeholders (U = W), so run() drives every algorithm through
+# the one _loop.  Its decisions come from dual._decider, which shares its
+# score with the one-shot API, and its updates are those of fqla_step, so
+# decisions and backlogs agree bit for bit with qla_decide / rism_step /
+# fqla_step.  _lockstep_finals advances many greedy runs per slot over the
+# padded tables and keeps only their current backlogs; the placeholder
+# warmups use it.  At one run it is about half as fast as _loop, so run()
+# keeps _loop.
 
 
-def _loop_qla_finite(spec, V, idx, u0, burn):
-    tab = tables(spec)
+def _loop(spec, V, idx, w0, burn, wl=None):
+    """Greedy run over the state sequence ``idx`` from W(0) = w0.
+
+    Returns (U, W, costs, actions, drops per slot, arrivals, drops), the
+    two sums over slots from ``burn`` on.  With placeholders ``wl``, U
+    starts empty and admits max(a - max(wl - W, 0), 0) of each arrival a.
+    Without them U is W (the same array) and nothing is dropped: the
+    drops per slot are None and the drop sum is zero.
+    """
+    decide, act_dtype = _decider(spec, V)
     slots = len(idx)
     r = spec.r
-    cost_t, arr_t, svc_t, sma_t = tab.cost, tab.arr, tab.svc, tab.sma
-    vcost = [V * c for c in cost_t]
-    U = np.empty((slots + 1, r))
-    U[0] = u0
-    costs = np.empty(slots)
-    acts = np.empty(slots, dtype=np.int64)
-    arr_sum = np.zeros(r)
-    u = np.array(u0, dtype=float)
-    for t, i in enumerate(idx.tolist()):
-        sc = sma_t[i] @ u
-        sc -= vcost[i]
-        k = int(sc.argmax())
-        acts[t] = k
-        costs[t] = cost_t[i][k]
-        a = arr_t[i][k]
-        u = u - svc_t[i][k]
-        np.maximum(u, 0.0, out=u)
-        u += a
-        if t >= burn:
-            arr_sum += a
-        U[t + 1] = u
-    return U, costs, acts, arr_sum
-
-
-def _loop_qla_cont(spec, V, idx, u0, burn):
-    fams = [st.actions for st in spec.states]
-    slots = len(idx)
-    r = spec.r
-    U = np.empty((slots + 1, r))
-    U[0] = u0
-    costs = np.empty(slots)
-    acts = np.empty(slots)
-    arr_sum = np.zeros(r)
-    u = np.array(u0, dtype=float)
-    for t, i in enumerate(idx.tolist()):
-        fam = fams[i]
-        x = float(fam.dual_argmin(V, u))
-        acts[t] = x
-        costs[t] = fam.cost(x)
-        a = fam.arrivals(x)
-        u = u - fam.services(x)
-        np.maximum(u, 0.0, out=u)
-        u += a
-        if t >= burn:
-            arr_sum += a
-        U[t + 1] = u
-    return U, costs, acts, arr_sum
-
-
-def _loop_fqla_finite(spec, V, idx, wl, burn):
-    tab = tables(spec)
-    slots = len(idx)
-    r = spec.r
-    cost_t, arr_t, svc_t, sma_t = tab.cost, tab.arr, tab.svc, tab.sma
-    vcost = [V * c for c in cost_t]
-    U = np.empty((slots + 1, r))
     W = np.empty((slots + 1, r))
-    U[0] = 0.0
-    W[0] = wl
+    W[0] = w0
     costs = np.empty(slots)
-    acts = np.empty(slots, dtype=np.int64)
-    drops_t = np.empty(slots)
+    acts = np.empty(slots, dtype=act_dtype)
     arr_sum = np.zeros(r)
     drop_sum = np.zeros(r)
-    u = np.zeros(r)
-    w = np.array(wl, dtype=float)
+    w = np.array(w0, dtype=float)
+    if wl is None:
+        U, drops_t = W, None
+    else:
+        U = np.empty((slots + 1, r))
+        U[0] = 0.0
+        drops_t = np.empty(slots)
+        u = np.zeros(r)
     for t, i in enumerate(idx.tolist()):
-        sc = sma_t[i] @ w
-        sc -= vcost[i]
-        k = int(sc.argmax())
+        k, c, a, mu = decide(i, w)
         acts[t] = k
-        costs[t] = cost_t[i][k]
-        a = arr_t[i][k]
-        mu = svc_t[i][k]
-        deficit = np.maximum(wl - w, 0.0)
-        admit = np.maximum(a - deficit, 0.0)
-        dropped = a - admit
-        u = u - mu
-        np.maximum(u, 0.0, out=u)
-        u += admit
+        costs[t] = c
+        if wl is not None:
+            admit = np.maximum(a - np.maximum(wl - w, 0.0), 0.0)
+            dropped = a - admit
+            u = u - mu
+            np.maximum(u, 0.0, out=u)
+            u += admit
+            if t >= burn:
+                drop_sum += dropped
+            drops_t[t] = dropped.sum()
+            U[t + 1] = u
         w = w - mu
         np.maximum(w, 0.0, out=w)
         w += a
         if t >= burn:
             arr_sum += a
-            drop_sum += dropped
-        drops_t[t] = dropped.sum()
-        U[t + 1] = u
-        W[t + 1] = w
-    return U, W, costs, acts, drops_t, arr_sum, drop_sum
-
-
-def _loop_fqla_cont(spec, V, idx, wl, burn):
-    fams = [st.actions for st in spec.states]
-    slots = len(idx)
-    r = spec.r
-    U = np.empty((slots + 1, r))
-    W = np.empty((slots + 1, r))
-    U[0] = 0.0
-    W[0] = wl
-    costs = np.empty(slots)
-    acts = np.empty(slots)
-    drops_t = np.empty(slots)
-    arr_sum = np.zeros(r)
-    drop_sum = np.zeros(r)
-    u = np.zeros(r)
-    w = np.array(wl, dtype=float)
-    for t, i in enumerate(idx.tolist()):
-        fam = fams[i]
-        x = float(fam.dual_argmin(V, w))
-        acts[t] = x
-        costs[t] = fam.cost(x)
-        a = fam.arrivals(x)
-        mu = fam.services(x)
-        deficit = np.maximum(wl - w, 0.0)
-        admit = np.maximum(a - deficit, 0.0)
-        dropped = a - admit
-        u = u - mu
-        np.maximum(u, 0.0, out=u)
-        u += admit
-        w = w - mu
-        np.maximum(w, 0.0, out=w)
-        w += a
-        if t >= burn:
-            arr_sum += a
-            drop_sum += dropped
-        drops_t[t] = dropped.sum()
-        U[t + 1] = u
         W[t + 1] = w
     return U, W, costs, acts, drops_t, arr_sum, drop_sum
 
@@ -342,9 +258,7 @@ def _virtual_trajectory(spec, V, T, rng, u0=None):
     """Greedy backlog path of length T+1 (used by placeholder estimators)."""
     idx = sample_states(spec, rng, T)
     start = np.zeros(spec.r) if u0 is None else np.asarray(u0, dtype=float)
-    loop = _loop_qla_finite if spec.is_finite else _loop_qla_cont
-    U, _, _, _ = loop(spec, V, idx, start, 0)
-    return U
+    return _loop(spec, V, idx, start, 0)[1]
 
 
 _CHUNK = 256  # slots each stream samples at a time in _lockstep_finals
@@ -357,7 +271,7 @@ def _lockstep_finals(spec, V, T, streams):
     one slot of all R per step, over the padded tables.  States are drawn
     in chunks of _CHUNK slots per stream; consecutive draws consume a
     generator exactly like one draw of T states, and the score and queue
-    update use the same operations as _loop_qla_finite, so row k equals
+    update use the same operations as _loop, so row k equals
     ``_virtual_trajectory(spec, V, T, streams[k])[-1]`` bit for bit.
     Memory is O(R (r + _CHUNK)) whatever T is.
     """
@@ -391,8 +305,9 @@ def _resolve_u_star(handle: ScenarioHandle, config: RunConfig):
 def _resolve_placeholders(handle: ScenarioHandle, config: RunConfig) -> np.ndarray:
     if config.placeholders is not None:
         wl = np.asarray(config.placeholders, dtype=float)
-        if wl.shape != (handle.spec.r,) or (wl < 0).any():
-            raise ValueError(f"placeholders must be {handle.spec.r} nonnegative levels")
+        if wl.shape != (handle.spec.r,) or not (np.isfinite(wl) & (wl >= 0)).all():
+            raise ValueError(f"placeholders must be {handle.spec.r} finite, nonnegative levels, "
+                             f"got {wl}")
         return wl
     V = config.V
     if config.algorithm == "fqla-ideal":
@@ -430,8 +345,7 @@ def run(config: RunConfig) -> SimReport:
         raise ValueError(f"unknown algorithm {config.algorithm!r}; choose from {ALGORITHMS}")
     if config.slots < 1:
         raise ValueError(f"slots must be positive, got {config.slots}")
-    if not (config.V > 0 and math.isfinite(config.V)):
-        raise ValueError(f"V must be positive and finite, got {config.V!r}")
+    _check_V(config.V)
     u0 = np.zeros(spec.r)
     if config.initial_backlog is not None:
         u0 = np.asarray(config.initial_backlog, dtype=float)
@@ -446,22 +360,14 @@ def run(config: RunConfig) -> SimReport:
     if not (0 <= burn_in < slots):
         raise ValueError(f"burn_in must lie in [0, slots), got {burn_in}")
 
-    finite = spec.is_finite
     rng = substream(config.seed, config.stream)
     idx = sample_states(spec, rng, slots)
 
     is_fqla = config.algorithm != "qla"
     u_star = _resolve_u_star(handle, config)
-    W = wl = drops_t = arr_sum = None
-    drop_sum = np.zeros(spec.r)
-    if is_fqla:
-        wl = _resolve_placeholders(handle, config)
-        loop = _loop_fqla_finite if finite else _loop_fqla_cont
-        U, W, costs, acts, drops_t, arr_sum, drop_sum = loop(
-            spec, config.V, idx, wl, burn_in)
-    else:
-        loop = _loop_qla_finite if finite else _loop_qla_cont
-        U, costs, acts, arr_sum = loop(spec, config.V, idx, u0, burn_in)
+    wl = _resolve_placeholders(handle, config) if is_fqla else None
+    U, W, costs, acts, drops_t, arr_sum, drop_sum = _loop(
+        spec, config.V, idx, wl if is_fqla else u0, burn_in, wl)
 
     # Drop accounting matches the averages: both sides of the fraction
     # count post burn-in slots only, so the startup climb from W(0) to
@@ -478,7 +384,7 @@ def run(config: RunConfig) -> SimReport:
         sandwich_violations = int(bad.sum())
 
     if config.check_invariants:
-        _invariant_scan(spec, idx, U, W, wl, sandwich_violations)
+        _invariant_scan(spec, idx, U, W if is_fqla else None, wl, sandwich_violations)
 
     win = slice(burn_in, slots)
     avg_backlog = U[win].mean(axis=0)
@@ -507,8 +413,7 @@ def run(config: RunConfig) -> SimReport:
         report.sandwich_violations = sandwich_violations
 
     if u_star is not None:
-        ref = W if is_fqla else U  # attraction acts on the virtual backlog
-        diff = ref[win] - u_star
+        diff = W[win] - u_star  # attraction acts on the virtual backlog (U under qla)
         dev = np.linalg.norm(diff, axis=1)
         pcd = np.abs(diff).max(axis=1)
         report.deviation_reference = u_star

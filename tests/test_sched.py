@@ -91,6 +91,12 @@ def test_placeholder_ideal_validation():
         fqla_placeholder_ideal([10.0], 10.0, regime="curved")
 
 
+@pytest.mark.parametrize("V", [-1.0, math.inf, math.nan])
+def test_placeholder_ideal_rejects_bad_v(V):
+    with pytest.raises(ValueError, match="V must be positive and finite"):
+        fqla_placeholder_ideal([10.0], V)
+
+
 # -- admit/drop step ---------------------------------------------------------
 
 
@@ -127,13 +133,15 @@ def test_fqla_step_by_hand():
     np.testing.assert_array_equal(nxt.placeholders, st.placeholders)
 
 
-def test_zero_placeholders_reduce_to_plain_run(five):
+@pytest.mark.parametrize("name", ["five", "contq"])
+def test_zero_placeholders_reduce_to_plain_run(name, request):
     """With the floor at zero nothing is ever dropped and U mirrors W."""
-    base = sim.run(sim.RunConfig(scenario=five, V=50.0, algorithm="qla",
+    handle = request.getfixturevalue(name)
+    base = sim.run(sim.RunConfig(scenario=handle, V=50.0, algorithm="qla",
                                  slots=20_000, seed=4, record_trace=True))
-    fq = sim.run(sim.RunConfig(scenario=five, V=50.0, algorithm="fqla-ideal",
+    fq = sim.run(sim.RunConfig(scenario=handle, V=50.0, algorithm="fqla-ideal",
                                slots=20_000, seed=4, record_trace=True,
-                               placeholders=np.zeros(5)))
+                               placeholders=np.zeros(handle.spec.r)))
     np.testing.assert_array_equal(fq.trace.u, base.trace.u)
     np.testing.assert_array_equal(fq.trace.w, base.trace.u)
     np.testing.assert_array_equal(fq.trace.costs, base.trace.costs)
@@ -270,6 +278,23 @@ def test_bisection_depth_budget_warning(discq):
                                 max_depth=1)
     assert res.warning
     assert not res.converged.all()
+
+
+@pytest.mark.parametrize("kw,msg", [
+    (dict(V=0.0), "V must be positive and finite"),
+    (dict(V=-2.0), "V must be positive and finite"),
+    (dict(V=math.inf), "V must be positive and finite"),
+    (dict(V=math.nan), "V must be positive and finite"),
+    (dict(T1=1), "T1 must be at least 2"),
+    (dict(T1=0), "T1 must be at least 2"),
+    (dict(guess=math.nan), "guess must be finite and nonnegative"),
+    (dict(guess=math.inf), "guess must be finite and nonnegative"),
+])
+def test_bisection_rejects_bad_inputs(discq, kw, msg):
+    args = dict(V=100.0, T1=50, rng=0)
+    args.update(kw)
+    with pytest.raises(ValueError, match=msg):
+        bisection_placeholder(discq, **args)
 
 
 def test_bisection_validation_and_determinism(discq):

@@ -79,6 +79,12 @@ def test_burn_in_default_rule(five):
     (dict(initial_backlog=np.array([1.0, 2.0, 3.0])), r"initial_backlog must have shape \(5,\)"),
     (dict(initial_backlog=np.array([1.0, 1.0, -1.0, 1.0, 1.0])), "initial_backlog must be"),
     (dict(initial_backlog=np.array([1.0, 1.0, np.inf, 1.0, 1.0])), "initial_backlog must be"),
+    (dict(algorithm="fqla-ideal", placeholders=np.array([1.0, np.nan, 1.0, 1.0, 1.0])),
+     "placeholders must be 5 finite, nonnegative levels"),
+    (dict(algorithm="fqla-ideal", placeholders=np.array([1.0, 1.0, 1.0, np.inf, 1.0])),
+     "placeholders must be 5 finite, nonnegative levels"),
+    (dict(algorithm="fqla-ideal", placeholders=np.array([1.0, 1.0, 1.0, 1.0, -1.0])),
+     "placeholders must be 5 finite, nonnegative levels"),
 ])
 def test_run_config_validation(five, kw, msg):
     base = dict(scenario=five, V=50.0, slots=5_000, seed=0)
