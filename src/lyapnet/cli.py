@@ -146,6 +146,8 @@ def _sweep_worker(cell):
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be a positive number of worker processes, got {args.jobs}")
     handle = _load_scenario(args)
     r = handle.spec.r
     try:
@@ -157,11 +159,10 @@ def cmd_sweep(args) -> int:
         raise UsageError("--V-list and --seeds must be non-empty")
     _maybe_vector(args, "placeholders", r)  # a bad vector is a usage error, not a cell failure
     cells = [(args, V, seed) for seed in seeds for V in v_list]
-    jobs = max(1, args.jobs)
-    if jobs == 1:
+    if args.jobs == 1:
         results = [_sweep_worker(c) for c in cells]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
+        with ProcessPoolExecutor(max_workers=args.jobs) as ex:
             results = list(ex.map(_sweep_worker, cells))
 
     reports, failures = [], []

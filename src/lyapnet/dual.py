@@ -147,8 +147,8 @@ class SlacknessResult:
 #
 # One canonical score computation, _finite_argmin, is shared by dual
 # evaluation, the one-shot greedy decision, RISM and the simulation loop
-# (through _decider), so their selections agree bit for bit (ties broken
-# toward the lowest action index by first-maximum argmax).
+# (sim._loop), so their selections agree bit for bit (ties broken toward
+# the lowest action index by first-maximum argmax).
 
 
 def _finite_argmin(sma_i: np.ndarray, vcost_i: np.ndarray, u: np.ndarray) -> int:
@@ -168,33 +168,6 @@ def _state_argmin(spec: NetworkSpec, V: float, i: int, u: np.ndarray):
     tab = tables(spec)
     k = _finite_argmin(tab.sma[i], V * tab.cost[i], u)
     return k, float(tab.cost[i][k]), tab.arr[i][k], tab.svc[i][k]
-
-
-def _decider(spec: NetworkSpec, V: float):
-    """Per-slot greedy step of a run at weight V, and the dtype of its actions.
-
-    ``decide(i, u)`` returns (action, cost, arrivals, services) for state i
-    at backlog u, selecting as _state_argmin does; V * cost is computed
-    once per run instead of once per slot.
-    """
-    if spec.is_finite:
-        tab = tables(spec)
-        cost, arr, svc, sma = tab.cost, tab.arr, tab.svc, tab.sma
-        vcost = [V * c for c in cost]
-
-        def decide(i, u):
-            k = _finite_argmin(sma[i], vcost[i], u)
-            return k, cost[i][k], arr[i][k], svc[i][k]
-
-        return decide, np.int64
-    fams = [st.actions for st in spec.states]
-
-    def decide(i, u):
-        fam = fams[i]
-        x = float(fam.dual_argmin(V, u))
-        return x, fam.cost(x), fam.arrivals(x), fam.services(x)
-
-    return decide, float
 
 
 def _check_multiplier(u, r: int) -> np.ndarray:

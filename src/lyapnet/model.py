@@ -343,7 +343,9 @@ class _Tables:
     """Numpy views of a finite scenario, per state and stacked.
 
     ``sma`` is services minus arrivals, the coefficient of the backlog vector
-    in every per-slot score.  The lists hold one array per state; the
+    in every per-slot score.  The lists hold one array per state, and
+    ``arr_rows``/``svc_rows`` the same tables as one list of row arrays per
+    state, which a per-slot loop indexes without building a view.  The
     ``*_pad`` stacks hold the same tables as (S, A, r) / (S, A) arrays padded
     to the largest action count A, so batched code can gather many states at
     once.  Padded actions have cost +inf and zero traffic, so no score that
@@ -354,6 +356,8 @@ class _Tables:
     arr: list[np.ndarray]
     svc: list[np.ndarray]
     sma: list[np.ndarray]
+    arr_rows: list[list[np.ndarray]]
+    svc_rows: list[list[np.ndarray]]
     cost_pad: np.ndarray
     arr_pad: np.ndarray
     svc_pad: np.ndarray
@@ -383,6 +387,7 @@ def tables(spec: NetworkSpec) -> _Tables:
         cost_pad[i, :len(c)] = c
         arr_pad[i, :len(c)] = arr[i]
         svc_pad[i, :len(c)] = svc[i]
-    tab = _Tables(cost, arr, svc, sma, cost_pad, arr_pad, svc_pad, svc_pad - arr_pad)
+    tab = _Tables(cost, arr, svc, sma, [list(A) for A in arr], [list(S) for S in svc],
+                  cost_pad, arr_pad, svc_pad, svc_pad - arr_pad)
     spec._tables = tab
     return tab

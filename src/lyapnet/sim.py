@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dual import _check_V, _decider, per_state_optimum
+from .dual import _check_V, _finite_argmin, per_state_optimum
 from .model import NetworkSpec, sample_states, substream, tables
 from .scenarios import ScenarioHandle, as_handle
 from .sched import (
@@ -190,19 +190,60 @@ class AbsorptionReport:
     ok: bool
 
 
-# -- core loops --------------------------------------------------------------
+# -- core loop ---------------------------------------------------------------
 #
 # FQLA is QLA run on a virtual backlog W: W follows the plain queue law and
 # drives every decision, while the actual backlog U admits arrivals only
 # in so far as W stays at or above the placeholders.  QLA is the case
 # without placeholders (U = W), so run() drives every algorithm through
-# the one _loop.  Its decisions come from dual._decider, which shares its
-# score with the one-shot API, and its updates are those of fqla_step, so
+# the one _loop.  No decision reads U, the costs or the drops, so _loop
+# works through the run in blocks of _CHUNK slots, each in two phases:
+#
+# 1. per slot, only what the next decision needs: the greedy choice (the
+#    dual._finite_argmin score shared with the one-shot API, or a
+#    family's dual_argmin) and the W queue law;
+# 2. per block, vectorized: costs, arrivals and services gathered from the
+#    padded tables (recorded in phase 1 for continuous families),
+#    admissions, drops, the post burn-in sums chained onto the running
+#    sums with cumsum (sequential order, like a per-slot +=), and U as one
+#    scalar recursion per queue.
+#
+# Both phases apply the operations of fqla_step in the same order, so
 # decisions and backlogs agree bit for bit with qla_decide / rism_step /
-# fqla_step.  _lockstep_finals advances many greedy runs per slot over the
-# padded tables and keeps only their current backlogs; the placeholder
-# warmups use it.  At one run it is about half as fast as _loop, so run()
-# keeps _loop.
+# fqla_step.  _lockstep_finals advances many greedy runs per slot over
+# the padded tables and keeps only their current backlogs; the
+# placeholder warmups use it.
+
+_CHUNK = 256  # slots per block: bookkeeping in _loop, state draws in _lockstep_finals
+
+
+def _queue_path(path, mu, x):
+    """Fill rows 1.. of ``path`` by u(t+1) = max(u(t) - mu(t), 0) + x(t) from row 0.
+
+    One scalar recursion per queue over Python floats, which round as
+    the array operations of the queue law do.
+    """
+    for j, (ms, xs) in enumerate(zip(mu.T.tolist(), x.T.tolist())):
+        u, col = path[0, j].item(), []
+        for m, a in zip(ms, xs):
+            u -= m
+            if u < 0.0:
+                u = 0.0
+            u += a
+            col.append(u)
+        path[1:, j] = col
+
+
+def _chained_sum(total, rows):
+    """total + rows[0] + rows[1] + ..., added in slot order like a per-slot +=.
+
+    Accumulates in place, so ``rows`` is overwritten.
+    """
+    if len(rows) == 0:
+        return total
+    rows[0] += total
+    np.cumsum(rows, axis=0, out=rows)
+    return rows[-1].copy()
 
 
 def _loop(spec, V, idx, w0, burn, wl=None):
@@ -213,44 +254,71 @@ def _loop(spec, V, idx, w0, burn, wl=None):
     starts empty and admits max(a - max(wl - W, 0), 0) of each arrival a.
     Without them U is W (the same array) and nothing is dropped: the
     drops per slot are None and the drop sum is zero.
+
+    Each block of _CHUNK slots first runs the decisions and the W queue
+    law slot by slot, then derives the block's costs, admissions, drops,
+    sums and U from the W rows and actions with array operations; the
+    extra memory is O(_CHUNK r) whatever the run length.
     """
-    decide, act_dtype = _decider(spec, V)
-    slots = len(idx)
-    r = spec.r
+    slots, r = len(idx), spec.r
     W = np.empty((slots + 1, r))
     W[0] = w0
     costs = np.empty(slots)
-    acts = np.empty(slots, dtype=act_dtype)
     arr_sum = np.zeros(r)
     drop_sum = np.zeros(r)
-    w = np.array(w0, dtype=float)
     if wl is None:
         U, drops_t = W, None
     else:
         U = np.empty((slots + 1, r))
         U[0] = 0.0
         drops_t = np.empty(slots)
-        u = np.zeros(r)
-    for t, i in enumerate(idx.tolist()):
-        k, c, a, mu = decide(i, w)
-        acts[t] = k
-        costs[t] = c
+    finite = spec.is_finite
+    if finite:
+        tab = tables(spec)
+        sma, arr, svc = tab.sma, tab.arr_rows, tab.svc_rows
+        vcost = [V * c for c in tab.cost]
+        acts = np.empty(slots, dtype=np.int64)
+    else:
+        fams = [st.actions for st in spec.states]
+        acts = np.empty(slots)
+        a_buf, mu_buf = np.empty((_CHUNK, r)), np.empty((_CHUNK, r))
+    w = np.array(w0, dtype=float)
+    for t0 in range(0, slots, _CHUNK):
+        t1 = min(t0 + _CHUNK, slots)
+        states = idx[t0:t1]
+        if finite:
+            for t, i in enumerate(states.tolist(), t0):
+                k = _finite_argmin(sma[i], vcost[i], w)
+                acts[t] = k
+                w = w - svc[i][k]
+                np.maximum(w, 0.0, out=w)
+                w += arr[i][k]
+                W[t + 1] = w
+            ks = acts[t0:t1]
+            costs[t0:t1] = tab.cost_pad[states, ks]
+            a = tab.arr_pad[states, ks]
+            mu = tab.svc_pad[states, ks] if wl is not None else None
+        else:
+            a, mu = a_buf[:t1 - t0], mu_buf[:t1 - t0]
+            for j, i in enumerate(states.tolist()):
+                fam = fams[i]
+                x = float(fam.dual_argmin(V, w))
+                acts[t0 + j] = x
+                costs[t0 + j] = fam.cost(x)
+                aj, muj = fam.arrivals(x), fam.services(x)
+                a[j], mu[j] = aj, muj
+                w = w - muj
+                np.maximum(w, 0.0, out=w)
+                w += aj
+                W[t0 + j + 1] = w
+        win = slice(max(burn, t0) - t0, None)
         if wl is not None:
-            admit = np.maximum(a - np.maximum(wl - w, 0.0), 0.0)
+            admit = np.maximum(a - np.maximum(wl - W[t0:t1], 0.0), 0.0)
             dropped = a - admit
-            u = u - mu
-            np.maximum(u, 0.0, out=u)
-            u += admit
-            if t >= burn:
-                drop_sum += dropped
-            drops_t[t] = dropped.sum()
-            U[t + 1] = u
-        w = w - mu
-        np.maximum(w, 0.0, out=w)
-        w += a
-        if t >= burn:
-            arr_sum += a
-        W[t + 1] = w
+            drops_t[t0:t1] = dropped.sum(axis=1)
+            drop_sum = _chained_sum(drop_sum, dropped[win])
+            _queue_path(U[t0:t1 + 1], mu, admit)
+        arr_sum = _chained_sum(arr_sum, a[win])
     return U, W, costs, acts, drops_t, arr_sum, drop_sum
 
 
@@ -259,9 +327,6 @@ def _virtual_trajectory(spec, V, T, rng, u0=None):
     idx = sample_states(spec, rng, T)
     start = np.zeros(spec.r) if u0 is None else np.asarray(u0, dtype=float)
     return _loop(spec, V, idx, start, 0)[1]
-
-
-_CHUNK = 256  # slots each stream samples at a time in _lockstep_finals
 
 
 def _lockstep_finals(spec, V, T, streams):
@@ -378,10 +443,8 @@ def run(config: RunConfig) -> SimReport:
     drop_fraction = drops_total / offered if offered > 0 else 0.0
 
     sandwich_violations = None
-    if is_fqla:
-        floor = np.maximum(W - wl, 0.0)
-        bad = (U < floor - _TOL) | (U > floor + spec.delta_max + _TOL)
-        sandwich_violations = int(bad.sum())
+    if is_fqla:  # a helper, so the (slots, r) temporaries are gone before the statistics
+        sandwich_violations = int(_sandwich_bad(U, W, wl, spec.delta_max).sum())
 
     if config.check_invariants:
         _invariant_scan(spec, idx, U, W if is_fqla else None, wl, sandwich_violations)
@@ -434,6 +497,12 @@ def run(config: RunConfig) -> SimReport:
     return report
 
 
+def _sandwich_bad(U, W, wl, delta_max):
+    """Rows x queues outside max(W - wl, 0) <= U <= max(W - wl, 0) + delta_max."""
+    floor = np.maximum(W - wl, 0.0)
+    return (U < floor - _TOL) | (U > floor + delta_max + _TOL)
+
+
 def _invariant_scan(spec, idx, U, W, wl, sandwich_violations):
     """Raise on the first slot breaking a per-slot contract."""
     B = spec.B
@@ -458,9 +527,7 @@ def _invariant_scan(spec, idx, U, W, wl, sandwich_violations):
                 f"{name} moved {step[t]:.6g} > B={B:.6g} in one slot", t, int(idx[t]),
                 U[t], None if W is None else W[t])
     if sandwich_violations:
-        floor = np.maximum(W - wl, 0.0)
-        bad = ((U < floor - _TOL) | (U > floor + spec.delta_max + _TOL)).any(axis=1)
-        t = first_bad(bad)
+        t = first_bad(_sandwich_bad(U, W, wl, spec.delta_max).any(axis=1))
         slot = max(t - 1, 0)
         raise SimInvariantError("sandwich bound violated", slot, int(idx[slot]),
                                 U[t], W[t])
@@ -554,28 +621,39 @@ def _fmt(x) -> str:
     return "%.12g" % float(x)
 
 
+_CSV_BLOCK = 4096  # trace rows formatted and written at a time
+
+
+def _fmt_col(x: np.ndarray) -> list[str]:
+    return ["%.12g" % v for v in x.tolist()]
+
+
 def write_trace_csv(report: SimReport, path: str) -> None:
     """Write the per-slot trace: slot,state,cost,U_*,W_*,dropped_this_slot.
 
-    W columns are left empty for plain greedy runs.
+    W columns are left empty for plain greedy runs.  Rows are formatted a
+    column at a time in blocks of _CSV_BLOCK, so memory stays bounded.
     """
     tr = report.trace
     if tr is None:
         raise ValueError("report holds no trace (record_trace=True required)")
-    r = tr.u.shape[1]
+    n, r = tr.u.shape
     cols = (["slot", "state", "cost"] + [f"U_{j + 1}" for j in range(r)]
             + [f"W_{j + 1}" for j in range(r)] + ["dropped_this_slot"])
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(cols) + "\n")
-        for t in range(tr.u.shape[0]):
-            row = [str(t), str(int(tr.states[t])), _fmt(tr.costs[t])]
-            row += [_fmt(v) for v in tr.u[t]]
+        for s in range(0, n, _CSV_BLOCK):
+            e = min(s + _CSV_BLOCK, n)
+            block = [[str(t) for t in range(s, e)], [str(i) for i in tr.states[s:e].tolist()],
+                     _fmt_col(tr.costs[s:e])]
+            block += [_fmt_col(tr.u[s:e, j]) for j in range(r)]
             if tr.w is not None:
-                row += [_fmt(v) for v in tr.w[t]]
+                block += [_fmt_col(tr.w[s:e, j]) for j in range(r)]
             else:
-                row += [""] * r
-            row.append(_fmt(tr.dropped[t]) if tr.dropped is not None else _fmt(0.0))
-            fh.write(",".join(row) + "\n")
+                block += [[""] * (e - s)] * r
+            block.append(_fmt_col(tr.dropped[s:e]) if tr.dropped is not None
+                         else [_fmt(0.0)] * (e - s))
+            fh.write("".join(",".join(row) + "\n" for row in zip(*block)))
 
 
 def report_csv_header(r: int) -> list[str]:

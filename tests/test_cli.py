@@ -409,6 +409,15 @@ def test_sweep_bad_v_list_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_sweep_rejects_nonpositive_jobs(tmp_path, capsys, jobs):
+    report = tmp_path / "r.csv"
+    code = main(SWEEP_ARGS + ["--jobs", jobs, "--report", str(report)])
+    assert code == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_sweep_reports_failed_cells(tmp_path, capsys):
     report = tmp_path / "r.csv"
     code = main(["sweep", "--scenario", "five-queue-chain", "--alg",
