@@ -148,12 +148,17 @@ class SlacknessResult:
 # One canonical score computation, _finite_argmin, is shared by dual
 # evaluation, the one-shot greedy decision, RISM and the simulation loop
 # (sim._loop), so their selections agree bit for bit (ties broken toward
-# the lowest action index by first-maximum argmax).
+# the lowest action index by first-maximum argmax).  It scores with
+# ``sma_i.dot(u)``, the same BLAS gemv call as ``sma_i @ u`` without the
+# matmul ufunc's dispatch.  The gemv's summation order still depends on
+# the BLAS kernel chosen at run time, and on some kernels (Prescott) on
+# the operands' 16-byte alignment, so exact ties, and the golden digests,
+# are only reproducible on one kernel family (ROADMAP item 2).
 
 
 def _finite_argmin(sma_i: np.ndarray, vcost_i: np.ndarray, u: np.ndarray) -> int:
     """Index maximizing u . (b - g) - V f over one state's table rows."""
-    score = sma_i @ u
+    score = sma_i.dot(u)
     score -= vcost_i
     return int(score.argmax())
 

@@ -201,12 +201,16 @@ class AbsorptionReport:
 #
 # 1. per slot, only what the next decision needs: the greedy choice (the
 #    dual._finite_argmin score shared with the one-shot API, or a
-#    family's dual_argmin) and the W queue law;
+#    family's dual_argmin) and the W queue law, written in place into
+#    the preallocated row W[t+1] with no temporary; the block's actions
+#    are stored once at its end;
 # 2. per block, vectorized: costs, arrivals and services gathered from the
 #    padded tables (recorded in phase 1 for continuous families),
 #    admissions, drops, the post burn-in sums chained onto the running
-#    sums with cumsum (sequential order, like a per-slot +=), and U as one
-#    scalar recursion per queue.
+#    sums with cumsum (sequential order, like a per-slot +=), U by one
+#    cumsum over the interleaved service and admission steps (a scalar
+#    recursion finishes a queue from its first clamp at zero), the
+#    sandwich violation count and the deviations from a reference point.
 #
 # Both phases apply the operations of fqla_step in the same order, so
 # decisions and backlogs agree bit for bit with qla_decide / rism_step /
@@ -220,18 +224,31 @@ _CHUNK = 256  # slots per block: bookkeeping in _loop, state draws in _lockstep_
 def _queue_path(path, mu, x):
     """Fill rows 1.. of ``path`` by u(t+1) = max(u(t) - mu(t), 0) + x(t) from row 0.
 
-    One scalar recursion per queue over Python floats, which round as
-    the array operations of the queue law do.
+    One cumsum down the interleaved steps [-mu(0), x(0), -mu(1), x(1),
+    ...] started from row 0 adds in slot order, and u + (-m) == u - m
+    exactly, so the rows are the recursion's bits up to a queue's first
+    clamp at zero.  From there on that queue is finished by the scalar
+    recursion over Python floats, which round as the array operations of
+    the queue law do.
     """
-    for j, (ms, xs) in enumerate(zip(mu.T.tolist(), x.T.tolist())):
-        u, col = path[0, j].item(), []
-        for m, a in zip(ms, xs):
+    n, r = mu.shape
+    steps = np.empty((2 * n, r))
+    np.negative(mu, out=steps[0::2])
+    steps[1::2] = x
+    steps[0] += path[0]
+    np.cumsum(steps, axis=0, out=steps)
+    path[1:] = steps[1::2]
+    low = steps[0::2] < 0.0
+    for j in np.flatnonzero(low.any(axis=0)).tolist():
+        s = int(low[:, j].argmax())
+        u, col = path[s, j].item(), []
+        for m, a in zip(mu[s:, j].tolist(), x[s:, j].tolist()):
             u -= m
             if u < 0.0:
                 u = 0.0
             u += a
             col.append(u)
-        path[1:, j] = col
+        path[s + 1:, j] = col
 
 
 def _chained_sum(total, rows):
@@ -246,18 +263,24 @@ def _chained_sum(total, rows):
     return rows[-1].copy()
 
 
-def _loop(spec, V, idx, w0, burn, wl=None):
+def _loop(spec, V, idx, w0, burn, wl=None, ref=None):
     """Greedy run over the state sequence ``idx`` from W(0) = w0.
 
-    Returns (U, W, costs, actions, drops per slot, arrivals, drops), the
-    two sums over slots from ``burn`` on.  With placeholders ``wl``, U
-    starts empty and admits max(a - max(wl - W, 0), 0) of each arrival a.
-    Without them U is W (the same array) and nothing is dropped: the
-    drops per slot are None and the drop sum is zero.
+    Returns (U, W, costs, actions, drops per slot, arrivals, drops,
+    sandwich violations, deviations, per-coordinate deviations).  The
+    arrival and drop sums and the deviations cover the slots from
+    ``burn`` on.  With placeholders ``wl``, U starts empty and admits
+    max(a - max(wl - W, 0), 0) of each arrival a, and the violations
+    count the rows x queues of U outside the sandwich around W.  Without
+    them U is W (the same array), nothing is dropped and nothing is
+    counted: the drops per slot and the count are None and the drop sum
+    is zero.  The deviations are the Euclidean and max-coordinate
+    distances of W(t) from the reference point ``ref``, None without one.
 
     Each block of _CHUNK slots first runs the decisions and the W queue
-    law slot by slot, then derives the block's costs, admissions, drops,
-    sums and U from the W rows and actions with array operations; the
+    law slot by slot, writing W in place, then derives the block's costs,
+    admissions, drops, sums, U (see _queue_path), violations and
+    deviations from the W rows and actions with array operations; the
     extra memory is O(_CHUNK r) whatever the run length.
     """
     slots, r = len(idx), spec.r
@@ -267,11 +290,15 @@ def _loop(spec, V, idx, w0, burn, wl=None):
     arr_sum = np.zeros(r)
     drop_sum = np.zeros(r)
     if wl is None:
-        U, drops_t = W, None
+        U, drops_t, bad = W, None, None
     else:
         U = np.empty((slots + 1, r))
         U[0] = 0.0
         drops_t = np.empty(slots)
+        bad = int(_sandwich_bad(U[:1], W[:1], wl, spec.delta_max).sum())
+    dev = pcd = None
+    if ref is not None:
+        dev, pcd = np.empty(slots - burn), np.empty(slots - burn)
     finite = spec.is_finite
     if finite:
         tab = tables(spec)
@@ -282,18 +309,20 @@ def _loop(spec, V, idx, w0, burn, wl=None):
         fams = [st.actions for st in spec.states]
         acts = np.empty(slots)
         a_buf, mu_buf = np.empty((_CHUNK, r)), np.empty((_CHUNK, r))
-    w = np.array(w0, dtype=float)
+    w, zero = W[0], np.zeros(())  # an array zero spares np.maximum a scalar conversion
     for t0 in range(0, slots, _CHUNK):
         t1 = min(t0 + _CHUNK, slots)
         states = idx[t0:t1]
         if finite:
-            for t, i in enumerate(states.tolist(), t0):
+            ks = []
+            for row, i in zip(W[t0 + 1:t1 + 1], states.tolist()):
                 k = _finite_argmin(sma[i], vcost[i], w)
-                acts[t] = k
-                w = w - svc[i][k]
-                np.maximum(w, 0.0, out=w)
-                w += arr[i][k]
-                W[t + 1] = w
+                ks.append(k)
+                np.subtract(w, svc[i][k], out=row)
+                np.maximum(row, zero, out=row)
+                row += arr[i][k]
+                w = row
+            acts[t0:t1] = ks
             ks = acts[t0:t1]
             costs[t0:t1] = tab.cost_pad[states, ks]
             a = tab.arr_pad[states, ks]
@@ -307,10 +336,11 @@ def _loop(spec, V, idx, w0, burn, wl=None):
                 costs[t0 + j] = fam.cost(x)
                 aj, muj = fam.arrivals(x), fam.services(x)
                 a[j], mu[j] = aj, muj
-                w = w - muj
-                np.maximum(w, 0.0, out=w)
-                w += aj
-                W[t0 + j + 1] = w
+                row = W[t0 + j + 1]
+                np.subtract(w, muj, out=row)
+                np.maximum(row, zero, out=row)
+                row += aj
+                w = row
         win = slice(max(burn, t0) - t0, None)
         if wl is not None:
             admit = np.maximum(a - np.maximum(wl - W[t0:t1], 0.0), 0.0)
@@ -318,8 +348,15 @@ def _loop(spec, V, idx, w0, burn, wl=None):
             drops_t[t0:t1] = dropped.sum(axis=1)
             drop_sum = _chained_sum(drop_sum, dropped[win])
             _queue_path(U[t0:t1 + 1], mu, admit)
+            bad += int(_sandwich_bad(U[t0 + 1:t1 + 1], W[t0 + 1:t1 + 1], wl,
+                                     spec.delta_max).sum())
         arr_sum = _chained_sum(arr_sum, a[win])
-    return U, W, costs, acts, drops_t, arr_sum, drop_sum
+        if ref is not None and t1 > burn:
+            lo = max(burn, t0)
+            diff = W[lo:t1] - ref
+            dev[lo - burn:t1 - burn] = np.linalg.norm(diff, axis=1)
+            pcd[lo - burn:t1 - burn] = np.abs(diff).max(axis=1)
+    return U, W, costs, acts, drops_t, arr_sum, drop_sum, bad, dev, pcd
 
 
 def _virtual_trajectory(spec, V, T, rng, u0=None):
@@ -431,8 +468,8 @@ def run(config: RunConfig) -> SimReport:
     is_fqla = config.algorithm != "qla"
     u_star = _resolve_u_star(handle, config)
     wl = _resolve_placeholders(handle, config) if is_fqla else None
-    U, W, costs, acts, drops_t, arr_sum, drop_sum = _loop(
-        spec, config.V, idx, wl if is_fqla else u0, burn_in, wl)
+    U, W, costs, acts, drops_t, arr_sum, drop_sum, sandwich_violations, dev, pcd = _loop(
+        spec, config.V, idx, wl if is_fqla else u0, burn_in, wl, u_star)
 
     # Drop accounting matches the averages: both sides of the fraction
     # count post burn-in slots only, so the startup climb from W(0) to
@@ -441,10 +478,6 @@ def run(config: RunConfig) -> SimReport:
     offered = float(arr_sum[list(exo)].sum())
     drops_total = float(drop_sum.sum())
     drop_fraction = drops_total / offered if offered > 0 else 0.0
-
-    sandwich_violations = None
-    if is_fqla:  # a helper, so the (slots, r) temporaries are gone before the statistics
-        sandwich_violations = int(_sandwich_bad(U, W, wl, spec.delta_max).sum())
 
     if config.check_invariants:
         _invariant_scan(spec, idx, U, W if is_fqla else None, wl, sandwich_violations)
@@ -475,10 +508,7 @@ def run(config: RunConfig) -> SimReport:
         report.placeholders = wl
         report.sandwich_violations = sandwich_violations
 
-    if u_star is not None:
-        diff = W[win] - u_star  # attraction acts on the virtual backlog (U under qla)
-        dev = np.linalg.norm(diff, axis=1)
-        pcd = np.abs(diff).max(axis=1)
+    if u_star is not None:  # attraction acts on the virtual backlog (U under qla)
         report.deviation_reference = u_star
         report.deviations = dev
         report.per_coord_deviations = pcd

@@ -232,6 +232,40 @@ def test_import_leaves_scipy_optimize_unloaded():
     assert out.strip() == "False"
 
 
+_GEMV_CHILD = """
+import numpy as np
+
+rng = np.random.default_rng(20261018)
+for trial in range(400):
+    m, n, R = (int(v) for v in rng.integers(1, 13, size=3))
+    if trial % 2:
+        stack = rng.integers(-1, 2, size=(R, m, n)).astype(float)
+    else:
+        stack = rng.standard_normal((R, m, n))
+    xs = np.abs(rng.standard_normal((R, n))) * 10.0 ** rng.integers(-2, 4)
+    batched = np.matmul(stack, xs[:, :, None])[:, :, 0]
+    for k in range(R):
+        a, x = stack[k], xs[k]  # the operands batched[k] was computed from
+        want = a.dot(x)
+        for got in (a @ x, batched[k]):
+            assert got.dtype == want.dtype and np.array_equal(got, want), (trial, k)
+print("ok")
+"""
+
+
+@pytest.mark.parametrize("coretype", ["SkylakeX", "Haswell", "Sandybridge", "Prescott"])
+def test_dot_and_matmul_share_the_gemv_kernel(coretype):
+    """``A.dot(x)`` (the loop's score), ``A @ x`` and batched matmul rows agree bit for bit.
+
+    Each OpenBLAS kernel runs in a child process; only the child's
+    environment names it.
+    """
+    env = dict(os.environ, OPENBLAS_CORETYPE=coretype)
+    out = subprocess.run([sys.executable, "-c", _GEMV_CHILD], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "ok"
+
+
 def test_convergence_error_carries_best():
     err = ConvergenceError("no luck", best=(1, 2, 3))
     assert err.best == (1, 2, 3)

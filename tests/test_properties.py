@@ -5,17 +5,20 @@ import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from lyapnet import scenarios, sim  # noqa: E402
+from lyapnet.dual import rism_step  # noqa: E402
 from lyapnet.model import (  # noqa: E402
     ActionRecord,
     NetworkSpec,
     StateSpec,
+    queue_update,
     sample_states,
     substream,
     tables,
 )
-from lyapnet.sched import fqla_general_estimate  # noqa: E402
+from lyapnet.sched import fqla_general_estimate, qla_decide  # noqa: E402
 
 
 @st.composite
@@ -151,17 +154,28 @@ def burn_ins(slots):
     return st.one_of(st.integers(0, slots - 1), st.sampled_from(edges))
 
 
-def assert_raw_bits_equal(spec, V, seed, slots, burn, w0, wl):
+def assert_raw_bits_equal(spec, V, seed, slots, burn, w0, wl, ref):
     idx = sample_states(spec, substream(seed), slots)
-    got = sim._loop(spec, V, idx, w0, burn, wl)
+    got = sim._loop(spec, V, idx, w0, burn, wl, ref)
     want = reference_loop(spec, V, idx, w0, burn, wl)
-    names = ("U", "W", "costs", "actions", "drops per slot", "arr_sum", "drop_sum")
-    for name, g, e in zip(names, got, want):
+    U, W = want[:2]
+    # the statistics run() used to derive from the full (slots+1, r) paths
+    bad = None if wl is None else int(sim._sandwich_bad(U, W, wl, spec.delta_max).sum())
+    dev = pcd = None
+    if ref is not None:
+        diff = W[burn:slots] - ref
+        dev, pcd = np.linalg.norm(diff, axis=1), np.abs(diff).max(axis=1)
+    names = ("U", "W", "costs", "actions", "drops per slot", "arr_sum", "drop_sum",
+             "sandwich violations", "deviations", "per-coordinate deviations")
+    assert len(got) == len(names)
+    for name, g, e in zip(names, got, want + (bad, dev, pcd)):
         if e is None:
             assert g is None, name
-            continue
-        assert g.dtype == e.dtype, name
-        assert np.array_equal(g, e), name
+        elif isinstance(e, int):
+            assert g == e, name
+        else:
+            assert g.dtype == e.dtype, name
+            assert np.array_equal(g, e), name
 
 
 @settings(max_examples=60, deadline=None)
@@ -172,7 +186,8 @@ def test_loop_matches_reference_bit_for_bit(spec, V, slots, seed, with_placehold
     levels = st.lists(st.floats(0.0, 50.0), min_size=spec.r, max_size=spec.r)
     w0 = np.array(data.draw(levels))
     wl = np.array(data.draw(levels)) if with_placeholders else None
-    assert_raw_bits_equal(spec, V, seed, slots, burn, w0, wl)
+    ref = data.draw(st.none() | levels.map(np.array))
+    assert_raw_bits_equal(spec, V, seed, slots, burn, w0, wl, ref)
 
 
 @settings(max_examples=30, deadline=None)
@@ -181,6 +196,97 @@ def test_loop_matches_reference_bit_for_bit(spec, V, slots, seed, with_placehold
 def test_continuous_loop_matches_reference_bit_for_bit(V, slots, seed, with_placeholders, data):
     spec = scenarios.by_name("single-queue-continuous").spec
     burn = data.draw(burn_ins(slots))
-    w0 = np.array([data.draw(st.floats(0.0, 3.0 * V))])
-    wl = np.array([data.draw(st.floats(0.0, 3.0 * V))]) if with_placeholders else None
-    assert_raw_bits_equal(spec, V, seed, slots, burn, w0, wl)
+    level = st.floats(0.0, 3.0 * V).map(lambda v: np.array([v]))
+    w0 = data.draw(level)
+    wl = data.draw(level) if with_placeholders else None
+    ref = data.draw(st.none() | level)
+    assert_raw_bits_equal(spec, V, seed, slots, burn, w0, wl, ref)
+
+
+def reference_queue_path(path, mu, x):
+    """Test-only oracle for ``sim._queue_path``: the scalar recursion on every slot."""
+    for j, (ms, xs) in enumerate(zip(mu.T.tolist(), x.T.tolist())):
+        u, col = path[0, j].item(), []
+        for m, a in zip(ms, xs):
+            u -= m
+            if u < 0.0:
+                u = 0.0
+            u += a
+            col.append(u)
+        path[1:, j] = col
+
+
+def assert_queue_path_exact(start, mu, x):
+    got = np.empty((len(mu) + 1, len(start)))
+    want = np.empty_like(got)
+    got[0] = want[0] = start
+    sim._queue_path(got, mu, x)
+    reference_queue_path(want, mu, x)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+GRID = st.sampled_from([0.0, 0.25, 1.0, 2.5])
+ENTRIES = GRID | st.floats(0.0, 1e6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(r=st.integers(1, 3), n=st.sampled_from([1, 2, CHUNK - 1, CHUNK]), data=st.data())
+def test_queue_path_matches_scalar_recursion(r, n, data):
+    steps = hnp.arrays(float, (n, r), elements=ENTRIES)
+    start = data.draw(hnp.arrays(float, r, elements=st.just(0.0) | ENTRIES))
+    assert_queue_path_exact(start, data.draw(steps), data.draw(steps))
+
+
+@pytest.mark.parametrize("n", [1, 2, CHUNK - 1, CHUNK])
+@pytest.mark.parametrize("where", ["first", "last", "every"])
+def test_queue_path_clamps_exactly(n, where):
+    """The cumsum path hands over to the scalar recursion at a queue's first clamp."""
+    rng = np.random.default_rng(n)
+    start = np.array([0.0, 3.0, 0.1])
+    mu = rng.choice([0.0, 0.25, 1.0], size=(n, 3))
+    x = rng.choice([0.25, 1.0, 2.5], size=(n, 3)) + rng.random((n, 3))
+    if where == "first":
+        mu[0] = start + 0.5
+    elif where == "last":
+        mu[:-1] = 0.0
+        mu[-1] = start + x[:-1].sum(axis=0) + 0.5
+    else:
+        start = np.array([0.0, 0.9, 0.1])
+        x[:] = 0.1 * rng.random((n, 3))
+        mu[:] = 1.0
+    assert_queue_path_exact(start, mu, x)
+
+
+NONNEG = st.just(0.0) | st.floats(2.0**-60, 1e4)
+
+
+def _exactly_scalable(spec):
+    """No table entry so small that scaling it by 2^-4 could underflow a product."""
+    tab = tables(spec)
+    entries = np.abs(np.concatenate([np.ravel(tab.sma[i]) for i in range(spec.n_states)]
+                                    + list(tab.cost)))
+    return bool(((entries == 0.0) | (entries >= 2.0**-600)).all())
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=finite_specs(), V=st.floats(0.5, 200.0), k=st.integers(-4, 4), data=st.data())
+def test_greedy_decision_is_scale_invariant(spec, V, k, data):
+    """(V, u) and (c V, c u) pick the same action; c = 2^k scales every score exactly."""
+    hypothesis.assume(_exactly_scalable(spec))
+    i = data.draw(st.integers(0, spec.n_states - 1))
+    u = np.array(data.draw(st.lists(NONNEG, min_size=spec.r, max_size=spec.r)))
+    c = 2.0**k
+    assert qla_decide(spec, V, i, u).action == qla_decide(spec, c * V, i, c * u).action
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=finite_specs(), V=st.floats(0.5, 200.0), data=st.data())
+def test_rism_step_at_unit_step_is_the_queue_law(spec, V, data):
+    i = data.draw(st.integers(0, spec.n_states - 1))
+    u = np.array(data.draw(st.lists(NONNEG, min_size=spec.r, max_size=spec.r)))
+    dec = qla_decide(spec, V, i, u)
+    got = rism_step(spec, V, u, i, alpha=1.0)
+    want = queue_update(u, dec.services, dec.arrivals)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
