@@ -147,13 +147,18 @@ class SlacknessResult:
 #
 # One canonical score computation, _finite_argmin, is shared by dual
 # evaluation, the one-shot greedy decision, RISM and the simulation loop
-# (sim._loop), so their selections agree bit for bit (ties broken toward
-# the lowest action index by first-maximum argmax).  It scores with
+# (sim._loop), so their selections agree bit for bit.  It scores with
 # ``sma_i.dot(u)``, the same BLAS gemv call as ``sma_i @ u`` without the
-# matmul ufunc's dispatch.  The gemv's summation order still depends on
-# the BLAS kernel chosen at run time, and on some kernels (Prescott) on
-# the operands' 16-byte alignment, so exact ties, and the golden digests,
-# are only reproducible on one kernel family (ROADMAP item 2).
+# matmul ufunc's dispatch, and takes the first maximum of the rounded
+# scores.  Rounding can separate scores that tie in exact arithmetic and
+# can order near-ties wrongly, so an exact tie may go to a higher action
+# index: in a 20k-slot five-queue fqla-ideal run at V=100, seed 0, 481
+# of the 2242 exact-tie slots did, and in 100 slots the chosen action was
+# not an exact maximizer at all.  The gemv's summation order still
+# depends on the BLAS kernel chosen at run time, and on some kernels
+# (Prescott) on the operands' 16-byte alignment, so exact ties, and the
+# golden digests, are only reproducible on one kernel family (ROADMAP
+# item 2).
 
 
 def _finite_argmin(sma_i: np.ndarray, vcost_i: np.ndarray, u: np.ndarray) -> int:

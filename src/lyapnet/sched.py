@@ -66,8 +66,10 @@ class FqlaState:
 def qla_decide(spec: NetworkSpec, V: float, state: int, u) -> Decision:
     """Greedy decision in ``state`` at backlog u: argmax of u.(b-g) - V f.
 
-    Ties break toward the lowest action index.  Scale invariance holds:
-    (V, u) and (cV, cu) admit the same maximizer set for any c > 0.
+    The action is the first maximum of the scores as the gemv rounds
+    them, so an exact tie may go to a higher action index when rounding
+    separates the tied scores (see dual._finite_argmin).  Scale invariance holds: (V, u) and
+    (cV, cu) admit the same maximizer set for any c > 0.
     """
     u = np.asarray(u, dtype=float)
     k, cost, arr, svc = _state_argmin(spec, V, state, u)

@@ -81,6 +81,13 @@ class RunConfig:
     registered U*_V.  ``check_invariants`` turns on the per-slot contract
     scans (nonnegativity, change bound, sandwich), which abort the run
     with the offending slot.
+
+    Memory: a run keeps the per-slot costs and, with a reference point,
+    the two post burn-in deviation arrays (24 bytes per slot); the U and
+    W paths, states, actions and per-slot drops are kept only under
+    ``record_trace`` or ``check_invariants``.  Single-queue runs also keep
+    their U and W paths (16 bytes per slot each), because their window
+    means are only exact as one pairwise sum over the whole path.
     """
 
     scenario: "ScenarioHandle | NetworkSpec"
@@ -122,7 +129,9 @@ class SimReport:
     ``drop_fraction``) and the deviation record all cover the post
     burn-in window, so ``drop_fraction`` is the long-run fraction of
     offered exogenous packets dropped rather than a startup artifact.
-    ``final_*`` fields are end-of-run snapshots.
+    ``final_*`` fields are end-of-run snapshots.  The only per-slot
+    series are ``deviations`` and ``per_coord_deviations`` (post burn-in,
+    with a reference point) and, under ``record_trace``, ``trace``.
     """
 
     scenario: str
@@ -206,17 +215,18 @@ class AbsorptionReport:
 #    are stored once at its end;
 # 2. per block, vectorized: costs, arrivals and services gathered from the
 #    padded tables (recorded in phase 1 for continuous families),
-#    admissions, drops, the post burn-in sums chained onto the running
-#    sums with cumsum (sequential order, like a per-slot +=), U by one
-#    cumsum over the interleaved service and admission steps (a scalar
-#    recursion finishes a queue from its first clamp at zero), the
-#    sandwich violation count and the deviations from a reference point.
+#    admissions, drops, U by one cumsum over the interleaved service and
+#    admission steps (a scalar recursion finishes a queue from its first
+#    clamp at zero), the sandwich violation count, the deviations from a
+#    reference point, and the post burn-in sums chained onto the running
+#    sums with cumsum (sequential order, like a per-slot +=).
 #
 # Both phases apply the operations of fqla_step in the same order, so
 # decisions and backlogs agree bit for bit with qla_decide / rism_step /
-# fqla_step.  _lockstep_finals advances many greedy runs per slot over
-# the padded tables and keeps only their current backlogs; the
-# placeholder warmups use it.
+# fqla_step.  A run keeps only its current block of W and U unless a
+# caller needs the whole paths.  _lockstep_finals advances many greedy
+# runs per slot over the padded tables and keeps only their current
+# backlogs; the placeholder warmups use it.
 
 _CHUNK = 256  # slots per block: bookkeeping in _loop, state draws in _lockstep_finals
 
@@ -263,38 +273,73 @@ def _chained_sum(total, rows):
     return rows[-1].copy()
 
 
-def _loop(spec, V, idx, w0, burn, wl=None, ref=None):
-    """Greedy run over the state sequence ``idx`` from W(0) = w0.
+@dataclass
+class _Run:
+    """What one _loop pass returns.
 
-    Returns (U, W, costs, actions, drops per slot, arrivals, drops,
-    sandwich violations, deviations, per-coordinate deviations).  The
-    arrival and drop sums and the deviations cover the slots from
-    ``burn`` on.  With placeholders ``wl``, U starts empty and admits
-    max(a - max(wl - W, 0), 0) of each arrival a, and the violations
-    count the rows x queues of U outside the sandwich around W.  Without
-    them U is W (the same array), nothing is dropped and nothing is
-    counted: the drops per slot and the count are None and the drop sum
-    is zero.  The deviations are the Euclidean and max-coordinate
-    distances of W(t) from the reference point ``ref``, None without one.
-
-    Each block of _CHUNK slots first runs the decisions and the W queue
-    law slot by slot, writing W in place, then derives the block's costs,
-    admissions, drops, sums, U (see _queue_path), violations and
-    deviations from the W rows and actions with array operations; the
-    extra memory is O(_CHUNK r) whatever the run length.
+    The arrival and drop sums, the sandwich count, the deviations and the
+    means ``avg_u``/``avg_w`` cover the slots from the burn-in on;
+    ``final_u``/``final_w`` are the backlogs after the last slot.  The
+    fields from ``states`` on are None unless _loop kept the paths.
     """
-    slots, r = len(idx), spec.r
-    W = np.empty((slots + 1, r))
+
+    costs: np.ndarray
+    arr_sum: np.ndarray
+    drop_sum: np.ndarray
+    bad: "int | None"
+    dev: "np.ndarray | None"
+    pcd: "np.ndarray | None"
+    avg_u: np.ndarray
+    avg_w: np.ndarray
+    final_u: np.ndarray
+    final_w: np.ndarray
+    states: "np.ndarray | None" = None
+    actions: "np.ndarray | None" = None
+    drops: "np.ndarray | None" = None
+    U: "np.ndarray | None" = None
+    W: "np.ndarray | None" = None
+
+
+def _loop(spec, V, rng, slots, w0, burn, wl=None, ref=None, paths=False):
+    """Greedy run of ``slots`` slots from W(0) = w0, states drawn from ``rng``.
+
+    The arrival and drop sums, the means and the deviations cover the
+    slots from ``burn`` on.  With placeholders ``wl``, U starts empty and
+    admits max(a - max(wl - W, 0), 0) of each arrival a, and ``bad``
+    counts the rows x queues of U outside the sandwich around W.  Without
+    them U is W (the same array), nothing is dropped and nothing is
+    counted: the drop sum is zero and ``bad`` None.  The deviations are
+    the Euclidean and max-coordinate distances of W(t) from the reference
+    point ``ref``, None without one.
+
+    Each block of _CHUNK slots draws its states with sample_states, which
+    consumes ``rng`` exactly like one draw of ``slots`` states, runs the
+    decisions and the W queue law slot by slot, then derives the block's
+    costs, admissions, drops, U (see _queue_path), violations, deviations
+    and window sums from the W rows and actions with array operations.
+    W and U live in (_CHUNK + 1, r) buffers whose row 0 carries the last
+    row of the block before, so a run keeps O(_CHUNK r) of them plus the
+    costs and the deviations, whatever its length.  With ``paths`` it
+    also keeps the states, actions, drops per slot (None without
+    placeholders) and the (slots + 1, r) U and W paths.
+    """
+    r = spec.r
+    # For r >= 2 numpy reduces axis 0 of a C-contiguous (n, r) array row by
+    # row, so the block sums chained in slot order equal X[burn:].mean(axis=0)
+    # bit for bit.  An (n, 1) array is reduced as one contiguous line, by
+    # pairwise summation, which no block-wise sum reproduces: one queue keeps
+    # its U and W paths and takes the means from them.
+    whole = paths or r == 1
+    W = np.empty((slots + 1 if whole else _CHUNK + 1, r))
     W[0] = w0
     costs = np.empty(slots)
-    arr_sum = np.zeros(r)
-    drop_sum = np.zeros(r)
+    arr_sum, drop_sum = np.zeros(r), np.zeros(r)
+    u_sum, w_sum = np.zeros(r), np.zeros(r)
     if wl is None:
-        U, drops_t, bad = W, None, None
+        U, bad = W, None
     else:
-        U = np.empty((slots + 1, r))
+        U = np.empty_like(W)
         U[0] = 0.0
-        drops_t = np.empty(slots)
         bad = int(_sandwich_bad(U[:1], W[:1], wl, spec.delta_max).sum())
     dev = pcd = None
     if ref is not None:
@@ -304,66 +349,89 @@ def _loop(spec, V, idx, w0, burn, wl=None, ref=None):
         tab = tables(spec)
         sma, arr, svc = tab.sma, tab.arr_rows, tab.svc_rows
         vcost = [V * c for c in tab.cost]
-        acts = np.empty(slots, dtype=np.int64)
+        acts = np.empty(slots if paths else _CHUNK, dtype=np.int64)
     else:
         fams = [st.actions for st in spec.states]
-        acts = np.empty(slots)
+        acts = np.empty(slots if paths else _CHUNK)
         a_buf, mu_buf = np.empty((_CHUNK, r)), np.empty((_CHUNK, r))
+    idx = np.empty(slots, dtype=np.int64) if paths else None
+    drops_t = np.empty(slots) if paths and wl is not None else None
     w, zero = W[0], np.zeros(())  # an array zero spares np.maximum a scalar conversion
     for t0 in range(0, slots, _CHUNK):
         t1 = min(t0 + _CHUNK, slots)
-        states = idx[t0:t1]
+        n = t1 - t0
+        b = t0 if whole else 0
+        Wb, Ub = W[b:b + n + 1], U[b:b + n + 1]  # row j is slot t0 + j's start
+        ks = acts[t0:t1] if paths else acts[:n]
+        states = sample_states(spec, rng, n)
+        if paths:
+            idx[t0:t1] = states
         if finite:
-            ks = []
-            for row, i in zip(W[t0 + 1:t1 + 1], states.tolist()):
+            k_list = []
+            for row, i in zip(Wb[1:], states.tolist()):
                 k = _finite_argmin(sma[i], vcost[i], w)
-                ks.append(k)
+                k_list.append(k)
                 np.subtract(w, svc[i][k], out=row)
                 np.maximum(row, zero, out=row)
                 row += arr[i][k]
                 w = row
-            acts[t0:t1] = ks
-            ks = acts[t0:t1]
+            ks[:] = k_list
             costs[t0:t1] = tab.cost_pad[states, ks]
             a = tab.arr_pad[states, ks]
             mu = tab.svc_pad[states, ks] if wl is not None else None
         else:
-            a, mu = a_buf[:t1 - t0], mu_buf[:t1 - t0]
-            for j, i in enumerate(states.tolist()):
+            a, mu = a_buf[:n], mu_buf[:n]
+            for j, (row, i) in enumerate(zip(Wb[1:], states.tolist())):
                 fam = fams[i]
                 x = float(fam.dual_argmin(V, w))
-                acts[t0 + j] = x
+                ks[j] = x
                 costs[t0 + j] = fam.cost(x)
                 aj, muj = fam.arrivals(x), fam.services(x)
                 a[j], mu[j] = aj, muj
-                row = W[t0 + j + 1]
                 np.subtract(w, muj, out=row)
                 np.maximum(row, zero, out=row)
                 row += aj
                 w = row
-        win = slice(max(burn, t0) - t0, None)
+        lo = max(burn, t0) - t0  # the block's first post burn-in row
         if wl is not None:
-            admit = np.maximum(a - np.maximum(wl - W[t0:t1], 0.0), 0.0)
+            admit = np.maximum(a - np.maximum(wl - Wb[:n], 0.0), 0.0)
             dropped = a - admit
-            drops_t[t0:t1] = dropped.sum(axis=1)
-            drop_sum = _chained_sum(drop_sum, dropped[win])
-            _queue_path(U[t0:t1 + 1], mu, admit)
-            bad += int(_sandwich_bad(U[t0 + 1:t1 + 1], W[t0 + 1:t1 + 1], wl,
-                                     spec.delta_max).sum())
-        arr_sum = _chained_sum(arr_sum, a[win])
-        if ref is not None and t1 > burn:
-            lo = max(burn, t0)
-            diff = W[lo:t1] - ref
-            dev[lo - burn:t1 - burn] = np.linalg.norm(diff, axis=1)
-            pcd[lo - burn:t1 - burn] = np.abs(diff).max(axis=1)
-    return U, W, costs, acts, drops_t, arr_sum, drop_sum, bad, dev, pcd
+            if paths:
+                drops_t[t0:t1] = dropped.sum(axis=1)
+            drop_sum = _chained_sum(drop_sum, dropped[lo:])
+            _queue_path(Ub, mu, admit)
+            bad += int(_sandwich_bad(Ub[1:], Wb[1:], wl, spec.delta_max).sum())
+        arr_sum = _chained_sum(arr_sum, a[lo:])
+        if ref is not None and lo < n:
+            diff = Wb[lo:n] - ref
+            dev[t0 + lo - burn:t1 - burn] = np.linalg.norm(diff, axis=1)
+            pcd[t0 + lo - burn:t1 - burn] = np.abs(diff).max(axis=1)
+        if not whole:
+            # last, as the sums overwrite the block's rows; row n carries on
+            w_sum = _chained_sum(w_sum, Wb[lo:n])
+            W[0] = Wb[n]
+            if wl is not None:
+                u_sum = _chained_sum(u_sum, Ub[lo:n])
+                U[0] = Ub[n]
+            w = W[0]
+    if whole:
+        avg_w = W[burn:slots].mean(axis=0)
+        avg_u = U[burn:slots].mean(axis=0) if wl is not None else avg_w
+    else:
+        avg_w = w_sum / (slots - burn)
+        avg_u = u_sum / (slots - burn) if wl is not None else avg_w
+    end = slots if whole else 0
+    out = _Run(costs, arr_sum, drop_sum, bad, dev, pcd, avg_u, avg_w,
+               U[end].copy(), W[end].copy())
+    if paths:
+        out.states, out.actions, out.drops, out.U, out.W = idx, acts, drops_t, U, W
+    return out
 
 
 def _virtual_trajectory(spec, V, T, rng, u0=None):
     """Greedy backlog path of length T+1 (used by placeholder estimators)."""
-    idx = sample_states(spec, rng, T)
     start = np.zeros(spec.r) if u0 is None else np.asarray(u0, dtype=float)
-    return _loop(spec, V, idx, start, 0)[1]
+    return _loop(spec, V, rng, T, start, 0, paths=True).W
 
 
 def _lockstep_finals(spec, V, T, streams):
@@ -375,21 +443,25 @@ def _lockstep_finals(spec, V, T, streams):
     generator exactly like one draw of T states, and the score and queue
     update use the same operations as _loop, so row k equals
     ``_virtual_trajectory(spec, V, T, streams[k])[-1]`` bit for bit.
-    Memory is O(R (r + _CHUNK)) whatever T is.
+    Memory is O(R (r + _CHUNK)) whatever T is.  The gathers use ``take``
+    (on the (S A, r) flattening for the chosen actions' rows), which copies
+    the same values as fancy indexing with less dispatch.
     """
     tab = tables(spec)
-    vcost, sma, arr, svc = V * tab.cost_pad, tab.sma_pad, tab.arr_pad, tab.svc_pad
-    u = np.zeros((len(streams), spec.r))
+    S, A, r = tab.arr_pad.shape
+    vcost, sma = V * tab.cost_pad, tab.sma_pad
+    arr, svc = tab.arr_pad.reshape(S * A, r), tab.svc_pad.reshape(S * A, r)
+    u, zero = np.zeros((len(streams), r)), np.zeros(())
     for start in range(0, T, _CHUNK):
         n = min(_CHUNK, T - start)
         idx = np.stack([sample_states(spec, g, n) for g in streams], axis=1)
         for i in idx:
-            sc = np.matmul(sma[i], u[:, :, None])[:, :, 0]
-            sc -= vcost[i]
-            k = sc.argmax(axis=1)
-            u -= svc[i, k]
-            np.maximum(u, 0.0, out=u)
-            u += arr[i, k]
+            sc = np.matmul(sma.take(i, axis=0), u[:, :, None])[:, :, 0]
+            sc -= vcost.take(i, axis=0)
+            f = i * A + sc.argmax(axis=1)  # row of (state, chosen action)
+            u -= svc.take(f, axis=0)
+            np.maximum(u, zero, out=u)
+            u += arr.take(f, axis=0)
     return u
 
 
@@ -462,28 +534,24 @@ def run(config: RunConfig) -> SimReport:
     if not (0 <= burn_in < slots):
         raise ValueError(f"burn_in must lie in [0, slots), got {burn_in}")
 
-    rng = substream(config.seed, config.stream)
-    idx = sample_states(spec, rng, slots)
-
     is_fqla = config.algorithm != "qla"
     u_star = _resolve_u_star(handle, config)
     wl = _resolve_placeholders(handle, config) if is_fqla else None
-    U, W, costs, acts, drops_t, arr_sum, drop_sum, sandwich_violations, dev, pcd = _loop(
-        spec, config.V, idx, wl if is_fqla else u0, burn_in, wl, u_star)
+    lp = _loop(spec, config.V, substream(config.seed, config.stream), slots,
+               wl if is_fqla else u0, burn_in, wl, u_star,
+               paths=config.record_trace or config.check_invariants)
 
     # Drop accounting matches the averages: both sides of the fraction
     # count post burn-in slots only, so the startup climb from W(0) to
     # the steady band does not leak into a long-run statistic.
     exo = handle.exogenous if handle.exogenous is not None else tuple(range(spec.r))
-    offered = float(arr_sum[list(exo)].sum())
-    drops_total = float(drop_sum.sum())
+    offered = float(lp.arr_sum[list(exo)].sum())
+    drops_total = float(lp.drop_sum.sum())
     drop_fraction = drops_total / offered if offered > 0 else 0.0
 
     if config.check_invariants:
-        _invariant_scan(spec, idx, U, W if is_fqla else None, wl, sandwich_violations)
+        _invariant_scan(spec, lp.states, lp.U, lp.W if is_fqla else None, wl, lp.bad)
 
-    win = slice(burn_in, slots)
-    avg_backlog = U[win].mean(axis=0)
     report = SimReport(
         scenario=handle.name,
         algorithm=config.algorithm,
@@ -492,37 +560,36 @@ def run(config: RunConfig) -> SimReport:
         stream=config.stream,
         slots=slots,
         burn_in=burn_in,
-        avg_cost=float(costs[win].mean()),
-        avg_backlog=avg_backlog,
-        avg_backlog_total=float(avg_backlog.sum()),
-        final_backlog=U[slots].copy(),
-        drops=drop_sum,
+        avg_cost=float(lp.costs[burn_in:].mean()),
+        avg_backlog=lp.avg_u,
+        avg_backlog_total=float(lp.avg_u.sum()),
+        final_backlog=lp.final_u,
+        drops=lp.drop_sum,
         drop_fraction=drop_fraction,
         offered=offered,
     )
     if is_fqla:
-        avg_w = W[win].mean(axis=0)
-        report.avg_virtual_backlog = avg_w
-        report.avg_virtual_backlog_total = float(avg_w.sum())
-        report.final_virtual = W[slots].copy()
+        report.avg_virtual_backlog = lp.avg_w
+        report.avg_virtual_backlog_total = float(lp.avg_w.sum())
+        report.final_virtual = lp.final_w
         report.placeholders = wl
-        report.sandwich_violations = sandwich_violations
+        report.sandwich_violations = lp.bad
 
     if u_star is not None:  # attraction acts on the virtual backlog (U under qla)
         report.deviation_reference = u_star
-        report.deviations = dev
-        report.per_coord_deviations = pcd
-        report.deviation_hist = np.bincount(dev.astype(np.int64))
-        report.per_coord_deviation_hist = np.bincount(pcd.astype(np.int64))
+        report.deviations = lp.dev
+        report.per_coord_deviations = lp.pcd
+        report.deviation_hist = np.bincount(lp.dev.astype(np.int64))
+        report.per_coord_deviation_hist = np.bincount(lp.pcd.astype(np.int64))
 
     if config.record_trace:
         report.trace = Trace(
-            states=idx,
-            actions=acts,
-            costs=costs,
-            u=U[:slots].copy(),
-            w=W[:slots].copy() if is_fqla else None,
-            dropped=drops_t,
+            states=lp.states,
+            actions=lp.actions,
+            costs=lp.costs,
+            u=lp.U[:slots],
+            w=lp.W[:slots] if is_fqla else None,
+            dropped=lp.drops,
         )
     return report
 

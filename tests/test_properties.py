@@ -1,5 +1,8 @@
 """Property-based checks on generated finite-table scenarios."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -13,8 +16,11 @@ from lyapnet.model import (  # noqa: E402
     ActionRecord,
     NetworkSpec,
     StateSpec,
+    one_step_distance_contract_check,
     queue_update,
     sample_states,
+    spec_from_dict,
+    spec_to_dict,
     substream,
     tables,
 )
@@ -22,9 +28,9 @@ from lyapnet.sched import fqla_general_estimate, qla_decide  # noqa: E402
 
 
 @st.composite
-def finite_specs(draw):
-    """Finite scenarios with r <= 3, 1-4 states of 1-4 actions, entries in [0, delta_max]."""
-    r = draw(st.integers(1, 3))
+def finite_specs(draw, max_r=3):
+    """Finite scenarios with r <= max_r, 1-4 states of 1-4 actions, entries in [0, delta_max]."""
+    r = draw(st.integers(1, max_r))
     delta_max = draw(st.floats(0.25, 4.0))
     unit = st.floats(0.0, 1.0)
     weights = draw(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=4))
@@ -154,28 +160,37 @@ def burn_ins(slots):
     return st.one_of(st.integers(0, slots - 1), st.sampled_from(edges))
 
 
-def assert_raw_bits_equal(spec, V, seed, slots, burn, w0, wl, ref):
+def same_bits(got, want):
+    """Equal dtypes, shapes and raw bytes (so 0.0 and -0.0 differ)."""
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def assert_raw_bits_equal(spec, V, seed, slots, burn, w0, wl, ref, paths):
+    got = sim._loop(spec, V, substream(seed), slots, w0, burn, wl, ref, paths=paths)
     idx = sample_states(spec, substream(seed), slots)
-    got = sim._loop(spec, V, idx, w0, burn, wl, ref)
-    want = reference_loop(spec, V, idx, w0, burn, wl)
-    U, W = want[:2]
-    # the statistics run() used to derive from the full (slots+1, r) paths
-    bad = None if wl is None else int(sim._sandwich_bad(U, W, wl, spec.delta_max).sum())
-    dev = pcd = None
+    U, W, costs, acts, drops_t, arr_sum, drop_sum = reference_loop(spec, V, idx, w0, burn, wl)
+    # the statistics run() used to derive from the full (slots+1, r) paths;
+    # the means are the identity the streamed window sums must reproduce
+    want = {"costs": costs, "arr_sum": arr_sum, "drop_sum": drop_sum,
+            "bad": None if wl is None else int(sim._sandwich_bad(U, W, wl, spec.delta_max).sum()),
+            "dev": None, "pcd": None,
+            "avg_u": U[burn:slots].mean(axis=0), "avg_w": W[burn:slots].mean(axis=0),
+            "final_u": U[slots], "final_w": W[slots],
+            "states": None, "actions": None, "drops": None, "U": None, "W": None}
     if ref is not None:
         diff = W[burn:slots] - ref
-        dev, pcd = np.linalg.norm(diff, axis=1), np.abs(diff).max(axis=1)
-    names = ("U", "W", "costs", "actions", "drops per slot", "arr_sum", "drop_sum",
-             "sandwich violations", "deviations", "per-coordinate deviations")
-    assert len(got) == len(names)
-    for name, g, e in zip(names, got, want + (bad, dev, pcd)):
+        want["dev"], want["pcd"] = np.linalg.norm(diff, axis=1), np.abs(diff).max(axis=1)
+    if paths:
+        want.update(states=idx, actions=acts, drops=drops_t, U=U, W=W)
+    for name, e in want.items():
+        g = getattr(got, name)
         if e is None:
             assert g is None, name
         elif isinstance(e, int):
             assert g == e, name
         else:
-            assert g.dtype == e.dtype, name
-            assert np.array_equal(g, e), name
+            assert same_bits(g, e), name
 
 
 @settings(max_examples=60, deadline=None)
@@ -187,7 +202,7 @@ def test_loop_matches_reference_bit_for_bit(spec, V, slots, seed, with_placehold
     w0 = np.array(data.draw(levels))
     wl = np.array(data.draw(levels)) if with_placeholders else None
     ref = data.draw(st.none() | levels.map(np.array))
-    assert_raw_bits_equal(spec, V, seed, slots, burn, w0, wl, ref)
+    assert_raw_bits_equal(spec, V, seed, slots, burn, w0, wl, ref, data.draw(st.booleans()))
 
 
 @settings(max_examples=30, deadline=None)
@@ -200,7 +215,56 @@ def test_continuous_loop_matches_reference_bit_for_bit(V, slots, seed, with_plac
     w0 = data.draw(level)
     wl = data.draw(level) if with_placeholders else None
     ref = data.draw(st.none() | level)
-    assert_raw_bits_equal(spec, V, seed, slots, burn, w0, wl, ref)
+    assert_raw_bits_equal(spec, V, seed, slots, burn, w0, wl, ref, data.draw(st.booleans()))
+
+
+TRACE_SLOTS = [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 1]
+
+
+def trace_burn_ins(slots):
+    """Burn-in at 0, inside the first block, on a block edge or at the last slot."""
+    edges = [k * CHUNK for k in (1, 2) if k * CHUNK < slots]
+    return st.sampled_from([0, slots - 1] + edges) | st.integers(0, min(CHUNK, slots) - 1)
+
+
+def assert_trace_changes_no_report_bits(scenario, V, slots, seed, burn, kw):
+    """run() keeping every per-slot series reports the bits of a streamed run."""
+    cfg = dict(scenario=scenario, V=V, slots=slots, seed=seed, burn_in=burn, **kw)
+    plain = sim.run(sim.RunConfig(**cfg))
+    traced = sim.run(sim.RunConfig(record_trace=True, **cfg))
+    assert plain.trace is None and traced.trace is not None
+    for f in dataclasses.fields(sim.SimReport):
+        if f.name == "trace":
+            continue
+        g, e = getattr(plain, f.name), getattr(traced, f.name)
+        if e is None or isinstance(e, (str, int)):
+            assert g == e, f.name
+        else:
+            assert same_bits(g, e), f.name
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=finite_specs(max_r=4), V=st.floats(0.5, 200.0), slots=st.sampled_from(TRACE_SLOTS),
+       seed=st.integers(0, 2**32 - 1), with_placeholders=st.booleans(), data=st.data())
+def test_trace_on_and_off_report_the_same_bits(spec, V, slots, seed, with_placeholders, data):
+    levels = st.lists(st.floats(0.0, 50.0), min_size=spec.r, max_size=spec.r).map(np.array)
+    kw = {"deviation_reference": data.draw(st.none() | levels)}
+    if with_placeholders:
+        kw.update(algorithm="fqla-ideal", placeholders=data.draw(levels))
+    assert_trace_changes_no_report_bits(spec, V, slots, seed, data.draw(trace_burn_ins(slots)), kw)
+
+
+@settings(max_examples=20, deadline=None)
+@given(V=st.floats(0.5, 200.0), slots=st.sampled_from(TRACE_SLOTS),
+       seed=st.integers(0, 2**32 - 1), with_placeholders=st.booleans(), data=st.data())
+def test_continuous_trace_on_and_off_report_the_same_bits(V, slots, seed, with_placeholders,
+                                                          data):
+    kw = {}
+    if with_placeholders:
+        kw.update(algorithm="fqla-ideal",
+                  placeholders=np.array([data.draw(st.floats(0.0, 3.0 * V))]))
+    assert_trace_changes_no_report_bits(scenarios.by_name("single-queue-continuous"), V, slots,
+                                        seed, data.draw(trace_burn_ins(slots)), kw)
 
 
 def reference_queue_path(path, mu, x):
@@ -290,3 +354,33 @@ def test_rism_step_at_unit_step_is_the_queue_law(spec, V, data):
     want = queue_update(u, dec.services, dec.arrivals)
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=finite_specs(max_r=4))
+def test_spec_dict_round_trip(spec):
+    """spec_to_dict / spec_from_dict, through JSON text, rebuild the same tables."""
+    d = spec_to_dict(spec)
+    back = spec_from_dict(json.loads(json.dumps(d)))
+    assert spec_to_dict(back) == d
+    assert (back.name, back.r, back.delta_max) == (spec.name, spec.r, spec.delta_max)
+    assert same_bits(back.probs, spec.probs)
+    got, want = tables(back), tables(spec)
+    for i in range(spec.n_states):
+        for g, e in ((got.cost, want.cost), (got.arr, want.arr), (got.svc, want.svc)):
+            assert same_bits(g[i], e[i])
+
+
+BACKLOG = st.floats(0.0, 1e4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=finite_specs(max_r=4), data=st.data())
+def test_one_step_distance_contract_on_generated_specs(spec, data):
+    """Any table action from any backlog meets the contract against any nonnegative target."""
+    i = data.draw(st.integers(0, spec.n_states - 1))
+    tab = tables(spec)
+    k = data.draw(st.integers(0, len(tab.cost[i]) - 1))
+    vec = st.lists(BACKLOG, min_size=spec.r, max_size=spec.r).map(np.array)
+    u, target = data.draw(vec), data.draw(vec)
+    assert one_step_distance_contract_check(u, tab.svc[i][k], tab.arr[i][k], target, spec.B)

@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -55,6 +57,28 @@ def test_streams_are_independent(five):
     a = run(RunConfig(scenario=five, V=50.0, slots=5_000, seed=9, stream=0))
     b = run(RunConfig(scenario=five, V=50.0, slots=5_000, seed=9, stream=1))
     assert a.avg_cost != b.avg_cost
+
+
+def _traced_peak(cfg):
+    """tracemalloc peak of one run, after a warm-up run and a full collection."""
+    run(cfg)
+    gc.collect()  # otherwise the peak moves with the cyclic collector's timing
+    tracemalloc.start()
+    try:
+        run(cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_run_memory_grows_only_by_the_kept_series(five):
+    """Without a trace a run keeps the costs and the two deviation arrays,
+    not the U and W paths: at most 32 bytes per extra slot (was about 128)."""
+    assert five.u_star is not None  # so the run keeps its deviation arrays
+    peaks = [_traced_peak(RunConfig(scenario=five, V=100.0, algorithm="fqla-ideal",
+                                    slots=slots, seed=3))
+             for slots in (20_000, 40_000)]
+    assert (peaks[1] - peaks[0]) / 20_000 <= 32.0
 
 
 # -- config handling ---------------------------------------------------------
