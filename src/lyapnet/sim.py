@@ -82,12 +82,10 @@ class RunConfig:
     scans (nonnegativity, change bound, sandwich), which abort the run
     with the offending slot.
 
-    Memory: a run keeps the per-slot costs and, with a reference point,
-    the two post burn-in deviation arrays (24 bytes per slot); the U and
-    W paths, states, actions and per-slot drops are kept only under
-    ``record_trace`` or ``check_invariants``.  Single-queue runs also keep
-    their U and W paths (16 bytes per slot each), because their window
-    means are only exact as one pairwise sum over the whole path.
+    Memory: the only per-slot series a run keeps are, with a reference
+    point, the two post burn-in deviation arrays (16 bytes per slot); the
+    costs, U and W paths, states, actions and per-slot drops are kept only
+    under ``record_trace`` or ``check_invariants``.
     """
 
     scenario: "ScenarioHandle | NetworkSpec"
@@ -131,7 +129,10 @@ class SimReport:
     offered exogenous packets dropped rather than a startup artifact.
     ``final_*`` fields are end-of-run snapshots.  The only per-slot
     series are ``deviations`` and ``per_coord_deviations`` (post burn-in,
-    with a reference point) and, under ``record_trace``, ``trace``.
+    with a reference point) and, under ``record_trace``, ``trace``; the
+    averages and the deviation histograms are built block by block and
+    equal numpy's mean and ``np.bincount`` over the whole series bit for
+    bit.
     """
 
     scenario: str
@@ -218,15 +219,18 @@ class AbsorptionReport:
 #    admissions, drops, U by one cumsum over the interleaved service and
 #    admission steps (a scalar recursion finishes a queue from its first
 #    clamp at zero), the sandwich violation count, the deviations from a
-#    reference point, and the post burn-in sums chained onto the running
-#    sums with cumsum (sequential order, like a per-slot +=).
+#    reference point and their histogram counts, the post burn-in arrival
+#    and drop sums chained onto the running sums with cumsum (sequential
+#    order, like a per-slot +=), and the window means of the costs, U and
+#    W, streamed in numpy's own summation order by _WindowMean.
 #
 # Both phases apply the operations of fqla_step in the same order, so
 # decisions and backlogs agree bit for bit with qla_decide / rism_step /
-# fqla_step.  A run keeps only its current block of W and U unless a
-# caller needs the whole paths.  _lockstep_finals advances many greedy
-# runs per slot over the padded tables and keeps only their current
-# backlogs; the placeholder warmups use it.
+# fqla_step, and every mean is the bits of numpy's mean over the whole
+# series.  A run keeps only its current block of the per-slot series
+# unless a caller needs the whole paths.  _lockstep_finals advances many
+# greedy runs per slot over the padded tables and keeps only their
+# current backlogs; the placeholder warmups use it.
 
 _CHUNK = 256  # slots per block: bookkeeping in _loop, state draws in _lockstep_finals
 
@@ -273,26 +277,106 @@ def _chained_sum(total, rows):
     return rows[-1].copy()
 
 
+_PW_LEAF = 128  # numpy's pairwise-sum block: a node of at most this many values is a leaf
+
+
+def _pairwise_tree(n):
+    """numpy's pairwise sum of n values as a generator over its leaves.
+
+    Yields each leaf's size, in order, and is sent the leaf's sum back; it
+    returns the total.  A node of at most _PW_LEAF values is a leaf; a
+    larger one splits at n2 = n//2 - (n//2) % 8 and adds the two halves'
+    sums.  The state is the path to the current leaf, O(log n).
+    """
+    if n <= _PW_LEAF:
+        return (yield n)
+    n2 = n // 2 - (n // 2) % 8
+    return (yield from _pairwise_tree(n2)) + (yield from _pairwise_tree(n - n2))
+
+
+class _WindowMean:
+    """X.mean(axis=0) of n values, or n rows of r, fed in consecutive blocks.
+
+    The result has numpy's bits.  numpy reduces axis 0 of a C-contiguous
+    (n, r) array with r >= 2 row by row, so those sums are chained in slot
+    order (_chained_sum, which overwrites the rows it is fed).  A 1-D line
+    or an (n, 1) column is reduced as one line, to 0.0 + the pairwise sum
+    of _pairwise_tree, whose leaves are summed by np.add.reduce as they
+    fill; at most one leaf is held across a block edge.
+    """
+
+    def __init__(self, n, r=None):
+        self.n, self.r = n, r
+        self._rows = r is not None and r >= 2
+        if self._rows:
+            self._sum = np.zeros(r)
+            return
+        self._tree = _pairwise_tree(n)
+        self._need = next(self._tree)
+        self._leaf, self._held = np.empty(min(n, _PW_LEAF)), 0
+
+    def add(self, rows):
+        if self._rows:
+            self._sum = _chained_sum(self._sum, rows)
+            return
+        x = rows.reshape(-1)
+        while len(x):
+            need = self._need - self._held
+            if self._held == 0 and len(x) >= need:
+                leaf, x = x[:need], x[need:]
+            else:  # gather a leaf that spans a block edge
+                take = min(need, len(x))
+                self._leaf[self._held:self._held + take] = x[:take]
+                self._held += take
+                x = x[take:]
+                if take < need:
+                    return
+                leaf, self._held = self._leaf[:self._need], 0
+            try:
+                self._need = self._tree.send(float(np.add.reduce(leaf)))
+            except StopIteration as done:
+                self._sum = 0.0 + done.value
+
+    def mean(self):
+        """Python float for a line, else an (r,) array."""
+        if self.r == 1:
+            return np.array([self._sum / self.n])
+        return self._sum / self.n
+
+
+def _add_counts(hist, values):
+    """hist + np.bincount(values.astype(np.int64)), padded to the longer length."""
+    counts = np.bincount(values.astype(np.int64))
+    if len(counts) < len(hist):
+        counts, hist = hist, counts
+    counts[:len(hist)] += hist
+    return counts
+
+
 @dataclass
 class _Run:
     """What one _loop pass returns.
 
-    The arrival and drop sums, the sandwich count, the deviations and the
-    means ``avg_u``/``avg_w`` cover the slots from the burn-in on;
-    ``final_u``/``final_w`` are the backlogs after the last slot.  The
-    fields from ``states`` on are None unless _loop kept the paths.
+    The mean cost, the arrival and drop sums, the sandwich count, the
+    deviations, their histograms and the means ``avg_u``/``avg_w`` cover
+    the slots from the burn-in on; ``final_u``/``final_w`` are the
+    backlogs after the last slot.  The fields from ``costs`` on are None
+    unless _loop kept the paths.
     """
 
-    costs: np.ndarray
+    avg_cost: float
     arr_sum: np.ndarray
     drop_sum: np.ndarray
     bad: "int | None"
     dev: "np.ndarray | None"
     pcd: "np.ndarray | None"
+    dev_hist: "np.ndarray | None"
+    pcd_hist: "np.ndarray | None"
     avg_u: np.ndarray
     avg_w: np.ndarray
     final_u: np.ndarray
     final_w: np.ndarray
+    costs: "np.ndarray | None" = None
     states: "np.ndarray | None" = None
     actions: "np.ndarray | None" = None
     drops: "np.ndarray | None" = None
@@ -303,56 +387,56 @@ class _Run:
 def _loop(spec, V, rng, slots, w0, burn, wl=None, ref=None, paths=False):
     """Greedy run of ``slots`` slots from W(0) = w0, states drawn from ``rng``.
 
-    The arrival and drop sums, the means and the deviations cover the
-    slots from ``burn`` on.  With placeholders ``wl``, U starts empty and
-    admits max(a - max(wl - W, 0), 0) of each arrival a, and ``bad``
-    counts the rows x queues of U outside the sandwich around W.  Without
-    them U is W (the same array), nothing is dropped and nothing is
-    counted: the drop sum is zero and ``bad`` None.  The deviations are
+    The mean cost, the arrival and drop sums, the means and the deviations
+    cover the slots from ``burn`` on.  With placeholders ``wl``, U starts
+    empty and admits max(a - max(wl - W, 0), 0) of each arrival a, and
+    ``bad`` counts the rows x queues of U outside the sandwich around W.
+    Without them U is W (the same array), nothing is dropped and nothing
+    is counted: the drop sum is zero and ``bad`` None.  The deviations are
     the Euclidean and max-coordinate distances of W(t) from the reference
-    point ``ref``, None without one.
+    point ``ref``, None without one, and their histograms are
+    np.bincount of their integer parts.
 
     Each block of _CHUNK slots draws its states with sample_states, which
     consumes ``rng`` exactly like one draw of ``slots`` states, runs the
     decisions and the W queue law slot by slot, then derives the block's
-    costs, admissions, drops, U (see _queue_path), violations, deviations
-    and window sums from the W rows and actions with array operations.
-    W and U live in (_CHUNK + 1, r) buffers whose row 0 carries the last
-    row of the block before, so a run keeps O(_CHUNK r) of them plus the
-    costs and the deviations, whatever its length.  With ``paths`` it
-    also keeps the states, actions, drops per slot (None without
-    placeholders) and the (slots + 1, r) U and W paths.
+    costs, admissions, drops, U (see _queue_path), violations, deviations,
+    histogram counts and window sums from the W rows and actions with
+    array operations; _WindowMean turns the sums into numpy's means.  W
+    and U live in (_CHUNK + 1, r) buffers whose row 0 carries the last row
+    of the block before, so a run keeps O(_CHUNK r) of them plus the
+    deviations, whatever its length.  With ``paths`` it also keeps the
+    costs, states, actions, drops per slot (None without placeholders) and
+    the (slots + 1, r) U and W paths.
     """
     r = spec.r
-    # For r >= 2 numpy reduces axis 0 of a C-contiguous (n, r) array row by
-    # row, so the block sums chained in slot order equal X[burn:].mean(axis=0)
-    # bit for bit.  An (n, 1) array is reduced as one contiguous line, by
-    # pairwise summation, which no block-wise sum reproduces: one queue keeps
-    # its U and W paths and takes the means from them.
-    whole = paths or r == 1
-    W = np.empty((slots + 1 if whole else _CHUNK + 1, r))
+    kept = slots if paths else _CHUNK  # per-slot buffers hold the run or one block
+    W = np.empty((kept + 1, r))
     W[0] = w0
-    costs = np.empty(slots)
+    costs = np.empty(kept)
     arr_sum, drop_sum = np.zeros(r), np.zeros(r)
-    u_sum, w_sum = np.zeros(r), np.zeros(r)
+    window = slots - burn
+    cost_mean, w_mean, u_mean = _WindowMean(window), _WindowMean(window, r), None
     if wl is None:
         U, bad = W, None
     else:
         U = np.empty_like(W)
         U[0] = 0.0
+        u_mean = _WindowMean(window, r)
         bad = int(_sandwich_bad(U[:1], W[:1], wl, spec.delta_max).sum())
-    dev = pcd = None
+    dev = pcd = dev_hist = pcd_hist = None
     if ref is not None:
-        dev, pcd = np.empty(slots - burn), np.empty(slots - burn)
+        dev, pcd = np.empty(window), np.empty(window)
+        dev_hist = pcd_hist = np.zeros(0, dtype=np.int64)
     finite = spec.is_finite
     if finite:
         tab = tables(spec)
         sma, arr, svc = tab.sma, tab.arr_rows, tab.svc_rows
         vcost = [V * c for c in tab.cost]
-        acts = np.empty(slots if paths else _CHUNK, dtype=np.int64)
+        acts = np.empty(kept, dtype=np.int64)
     else:
         fams = [st.actions for st in spec.states]
-        acts = np.empty(slots if paths else _CHUNK)
+        acts = np.empty(kept)
         a_buf, mu_buf = np.empty((_CHUNK, r)), np.empty((_CHUNK, r))
     idx = np.empty(slots, dtype=np.int64) if paths else None
     drops_t = np.empty(slots) if paths and wl is not None else None
@@ -360,9 +444,9 @@ def _loop(spec, V, rng, slots, w0, burn, wl=None, ref=None, paths=False):
     for t0 in range(0, slots, _CHUNK):
         t1 = min(t0 + _CHUNK, slots)
         n = t1 - t0
-        b = t0 if whole else 0
+        b = t0 if paths else 0
         Wb, Ub = W[b:b + n + 1], U[b:b + n + 1]  # row j is slot t0 + j's start
-        ks = acts[t0:t1] if paths else acts[:n]
+        ks, cb = acts[b:b + n], costs[b:b + n]
         states = sample_states(spec, rng, n)
         if paths:
             idx[t0:t1] = states
@@ -376,7 +460,7 @@ def _loop(spec, V, rng, slots, w0, burn, wl=None, ref=None, paths=False):
                 row += arr[i][k]
                 w = row
             ks[:] = k_list
-            costs[t0:t1] = tab.cost_pad[states, ks]
+            cb[:] = tab.cost_pad[states, ks]
             a = tab.arr_pad[states, ks]
             mu = tab.svc_pad[states, ks] if wl is not None else None
         else:
@@ -385,7 +469,7 @@ def _loop(spec, V, rng, slots, w0, burn, wl=None, ref=None, paths=False):
                 fam = fams[i]
                 x = float(fam.dual_argmin(V, w))
                 ks[j] = x
-                costs[t0 + j] = fam.cost(x)
+                cb[j] = fam.cost(x)
                 aj, muj = fam.arrivals(x), fam.services(x)
                 a[j], mu[j] = aj, muj
                 np.subtract(w, muj, out=row)
@@ -393,6 +477,7 @@ def _loop(spec, V, rng, slots, w0, burn, wl=None, ref=None, paths=False):
                 row += aj
                 w = row
         lo = max(burn, t0) - t0  # the block's first post burn-in row
+        cost_mean.add(cb[lo:])
         if wl is not None:
             admit = np.maximum(a - np.maximum(wl - Wb[:n], 0.0), 0.0)
             dropped = a - admit
@@ -404,27 +489,27 @@ def _loop(spec, V, rng, slots, w0, burn, wl=None, ref=None, paths=False):
         arr_sum = _chained_sum(arr_sum, a[lo:])
         if ref is not None and lo < n:
             diff = Wb[lo:n] - ref
-            dev[t0 + lo - burn:t1 - burn] = np.linalg.norm(diff, axis=1)
-            pcd[t0 + lo - burn:t1 - burn] = np.abs(diff).max(axis=1)
-        if not whole:
-            # last, as the sums overwrite the block's rows; row n carries on
-            w_sum = _chained_sum(w_sum, Wb[lo:n])
+            d, p = dev[t0 + lo - burn:t1 - burn], pcd[t0 + lo - burn:t1 - burn]
+            d[:] = np.linalg.norm(diff, axis=1)
+            p[:] = np.abs(diff).max(axis=1)
+            dev_hist, pcd_hist = _add_counts(dev_hist, d), _add_counts(pcd_hist, p)
+        # last, as the means may overwrite the rows they add (copies of a kept
+        # path); row n carries on into the next block
+        w_mean.add(Wb[lo:n].copy() if paths else Wb[lo:n])
+        if wl is not None:
+            u_mean.add(Ub[lo:n].copy() if paths else Ub[lo:n])
+        if not paths:
             W[0] = Wb[n]
             if wl is not None:
-                u_sum = _chained_sum(u_sum, Ub[lo:n])
                 U[0] = Ub[n]
             w = W[0]
-    if whole:
-        avg_w = W[burn:slots].mean(axis=0)
-        avg_u = U[burn:slots].mean(axis=0) if wl is not None else avg_w
-    else:
-        avg_w = w_sum / (slots - burn)
-        avg_u = u_sum / (slots - burn) if wl is not None else avg_w
-    end = slots if whole else 0
-    out = _Run(costs, arr_sum, drop_sum, bad, dev, pcd, avg_u, avg_w,
-               U[end].copy(), W[end].copy())
+    avg_w = w_mean.mean()
+    end = slots if paths else 0
+    out = _Run(cost_mean.mean(), arr_sum, drop_sum, bad, dev, pcd, dev_hist, pcd_hist,
+               avg_w if wl is None else u_mean.mean(), avg_w, U[end].copy(), W[end].copy())
     if paths:
-        out.states, out.actions, out.drops, out.U, out.W = idx, acts, drops_t, U, W
+        out.costs, out.states, out.actions, out.drops, out.U, out.W = (
+            costs, idx, acts, drops_t, U, W)
     return out
 
 
@@ -560,7 +645,7 @@ def run(config: RunConfig) -> SimReport:
         stream=config.stream,
         slots=slots,
         burn_in=burn_in,
-        avg_cost=float(lp.costs[burn_in:].mean()),
+        avg_cost=lp.avg_cost,
         avg_backlog=lp.avg_u,
         avg_backlog_total=float(lp.avg_u.sum()),
         final_backlog=lp.final_u,
@@ -579,8 +664,8 @@ def run(config: RunConfig) -> SimReport:
         report.deviation_reference = u_star
         report.deviations = lp.dev
         report.per_coord_deviations = lp.pcd
-        report.deviation_hist = np.bincount(lp.dev.astype(np.int64))
-        report.per_coord_deviation_hist = np.bincount(lp.pcd.astype(np.int64))
+        report.deviation_hist = lp.dev_hist
+        report.per_coord_deviation_hist = lp.pcd_hist
 
     if config.record_trace:
         report.trace = Trace(

@@ -11,7 +11,12 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from lyapnet import scenarios, sim  # noqa: E402
-from lyapnet.dual import rism_step  # noqa: E402
+from lyapnet.dual import (  # noqa: E402
+    ConvergenceError,
+    check_subgradient_inequality,
+    find_optimal_multiplier,
+    rism_step,
+)
 from lyapnet.model import (  # noqa: E402
     ActionRecord,
     NetworkSpec,
@@ -151,7 +156,7 @@ def reference_loop(spec, V, idx, w0, burn, wl=None):
 
 
 CHUNK = sim._CHUNK
-ORACLE_SLOTS = [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7]
+ORACLE_SLOTS = [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7, 9 * CHUNK + 3]
 
 
 def burn_ins(slots):
@@ -170,25 +175,30 @@ def assert_raw_bits_equal(spec, V, seed, slots, burn, w0, wl, ref, paths):
     got = sim._loop(spec, V, substream(seed), slots, w0, burn, wl, ref, paths=paths)
     idx = sample_states(spec, substream(seed), slots)
     U, W, costs, acts, drops_t, arr_sum, drop_sum = reference_loop(spec, V, idx, w0, burn, wl)
-    # the statistics run() used to derive from the full (slots+1, r) paths;
-    # the means are the identity the streamed window sums must reproduce
-    want = {"costs": costs, "arr_sum": arr_sum, "drop_sum": drop_sum,
+    # the statistics run() used to derive from the full per-slot series;
+    # the means and histograms are the identities the streamed blocks must
+    # reproduce
+    want = {"avg_cost": costs[burn:].mean(), "arr_sum": arr_sum, "drop_sum": drop_sum,
             "bad": None if wl is None else int(sim._sandwich_bad(U, W, wl, spec.delta_max).sum()),
-            "dev": None, "pcd": None,
+            "dev": None, "pcd": None, "dev_hist": None, "pcd_hist": None,
             "avg_u": U[burn:slots].mean(axis=0), "avg_w": W[burn:slots].mean(axis=0),
-            "final_u": U[slots], "final_w": W[slots],
+            "final_u": U[slots], "final_w": W[slots], "costs": None,
             "states": None, "actions": None, "drops": None, "U": None, "W": None}
     if ref is not None:
         diff = W[burn:slots] - ref
         want["dev"], want["pcd"] = np.linalg.norm(diff, axis=1), np.abs(diff).max(axis=1)
+        want["dev_hist"] = np.bincount(want["dev"].astype(np.int64))
+        want["pcd_hist"] = np.bincount(want["pcd"].astype(np.int64))
     if paths:
-        want.update(states=idx, actions=acts, drops=drops_t, U=U, W=W)
+        want.update(costs=costs, states=idx, actions=acts, drops=drops_t, U=U, W=W)
     for name, e in want.items():
         g = getattr(got, name)
         if e is None:
             assert g is None, name
         elif isinstance(e, int):
             assert g == e, name
+        elif name == "avg_cost":
+            assert type(g) is float and same_bits(np.float64(g), e), name
         else:
             assert same_bits(g, e), name
 
@@ -216,6 +226,29 @@ def test_continuous_loop_matches_reference_bit_for_bit(V, slots, seed, with_plac
     wl = data.draw(level) if with_placeholders else None
     ref = data.draw(st.none() | level)
     assert_raw_bits_equal(spec, V, seed, slots, burn, w0, wl, ref, data.draw(st.booleans()))
+
+
+MEAN_SIZES = st.integers(1, 3000) | st.sampled_from([22_500, 100_003])
+MEAN_DATA = {"integer": lambda z: np.rint(8.0 * z), "normal": lambda z: z,
+             "expm1": lambda z: np.expm1(3.0 * z)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=MEAN_SIZES, r=st.sampled_from([None, 1, 2, 3, 5]),
+       kind=st.sampled_from(sorted(MEAN_DATA)), offset=st.integers(0, 3),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_window_mean_matches_numpy_mean(n, r, kind, offset, seed, data):
+    """Blocks fed to _WindowMean give X.mean(axis=0) bit for bit, wherever the blocks split."""
+    shape = (n + offset,) if r is None else (n + offset, r)
+    x = MEAN_DATA[kind](np.random.default_rng(seed).standard_normal(shape))[offset:]
+    want = x.mean(axis=0)  # before feeding, as add may overwrite its rows
+    cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=12)))
+    got = sim._WindowMean(n, r)
+    for a, b in zip([0] + cuts, cuts + [n]):
+        got.add(x[a:b])
+    mean = got.mean()
+    assert type(mean) is (float if r is None else np.ndarray)
+    assert same_bits(mean, want)
 
 
 TRACE_SLOTS = [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 1]
@@ -383,3 +416,17 @@ def test_one_step_distance_contract_on_generated_specs(spec, data):
     vec = st.lists(BACKLOG, min_size=spec.r, max_size=spec.r).map(np.array)
     u, target = data.draw(vec), data.draw(vec)
     assert one_step_distance_contract_check(u, tab.svc[i][k], tab.arr[i][k], target, spec.B)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=finite_specs(), V=st.floats(0.5, 200.0), data=st.data())
+def test_lp_multiplier_meets_subgradient_inequality(spec, V, data):
+    """At any u >= 0 the subgradient points toward the LP's U*: (U* - u).G_u >= q(U*) - q(u)."""
+    try:
+        u_star = find_optimal_multiplier(spec, V, method="numeric", probe_directions=8).u_star
+    except ConvergenceError as exc:
+        if exc.best is not None:  # the LP solved but its point failed the optimality probe
+            raise
+        hypothesis.assume(False)  # the dual is unbounded: no multiplier stabilizes the queues
+    u = np.array(data.draw(st.lists(BACKLOG, min_size=spec.r, max_size=spec.r)))
+    assert check_subgradient_inequality(spec, V, u, u_star)

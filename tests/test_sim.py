@@ -71,14 +71,17 @@ def _traced_peak(cfg):
         tracemalloc.stop()
 
 
-def test_run_memory_grows_only_by_the_kept_series(five):
-    """Without a trace a run keeps the costs and the two deviation arrays,
-    not the U and W paths: at most 32 bytes per extra slot (was about 128)."""
-    assert five.u_star is not None  # so the run keeps its deviation arrays
-    peaks = [_traced_peak(RunConfig(scenario=five, V=100.0, algorithm="fqla-ideal",
+@pytest.mark.parametrize("name", ["five-queue-chain", "single-queue-continuous"])
+def test_run_memory_grows_only_by_the_kept_series(name):
+    """Without a trace a run keeps only the two deviation arrays (16 bytes
+    per slot): no costs, and no U and W paths, whatever r is.  At most 20
+    bytes per extra slot (about 29.5 and 56 before the means were streamed)."""
+    handle = scenarios.by_name(name)
+    assert handle.u_star is not None  # so the run keeps its deviation arrays
+    peaks = [_traced_peak(RunConfig(scenario=handle, V=100.0, algorithm="fqla-ideal",
                                     slots=slots, seed=3))
              for slots in (20_000, 40_000)]
-    assert (peaks[1] - peaks[0]) / 20_000 <= 32.0
+    assert (peaks[1] - peaks[0]) / 20_000 <= 20.0
 
 
 # -- config handling ---------------------------------------------------------
