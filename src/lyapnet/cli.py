@@ -137,8 +137,6 @@ def _sweep_worker(cell):
         # scalars only travel back to the coordinator
         rep.deviations = None
         rep.per_coord_deviations = None
-        rep.deviation_hist = None
-        rep.per_coord_deviation_hist = None
         rep.trace = None
         return ("ok", rep)
     except Exception as e:  # report per-cell, keep the sweep going
@@ -310,7 +308,7 @@ def cmd_analyze(args) -> int:
             ref = np.asarray(handle.u_star(args.V), dtype=float)
         burn = args.burn_in
         if burn is None:
-            burn = int(min(100 * args.V, n // 10))
+            burn = simulation.default_burn_in(args.V, n)
         if not (0 <= burn < n):
             raise UsageError(f"--burn-in must lie in [0, {n}), got {burn}")
         X = w if w is not None else u

@@ -139,9 +139,11 @@ def fqla_general_estimate(scenario, V: float, T: "int | None" = None, K: int = 2
     from W(0) = 0 for T slots, averages the terminal backlogs, and backs
     off by log^2 V.  T defaults to 50 V and must dominate the trajectory's
     settling time for the terminal average to sit near U*_V; K repetitions
-    damp the O(log V) per-run fluctuation.  ``rng`` is a base seed or
-    generator: repetition k draws its states from ``substream(rng, k)``
-    for a seed and from ``rng.spawn(K)[k]`` for a generator.
+    damp the O(log V) per-run fluctuation.  ``rng`` is a generator or a
+    seed: repetition k draws its states from ``rng.spawn(K)[k]``, and a
+    seed s stands for the generator ``substream(s, 0, 1)``, the one
+    ``run(seed=s, stream=0, algorithm="fqla-general")`` hands over, so the
+    warmups never share the states of a run's stream.
 
     On finite tables the K runs advance in lockstep, one slot of all K per
     step, and keep only their current backlogs, so memory does not grow
@@ -157,10 +159,9 @@ def fqla_general_estimate(scenario, V: float, T: "int | None" = None, K: int = 2
         T = int(50 * V)
     if T < 1 or K < 1:
         raise ValueError(f"need positive T and K, got T={T}, K={K}")
-    if isinstance(rng, np.random.Generator):
-        streams = rng.spawn(K)
-    else:
-        streams = [substream(int(rng), k) for k in range(K)]
+    if not isinstance(rng, np.random.Generator):
+        rng = substream(int(rng), 0, 1)
+    streams = rng.spawn(K)
     spec = handle.spec
     if spec.is_finite:
         finals = sim._lockstep_finals(spec, V, T, streams)
@@ -204,7 +205,10 @@ def bisection_placeholder(scenario, V: float, T1: "int | None" = None,
     misclassify a trend, T1 defaults to the small sqrt(V) window, and for
     multi-queue scenarios the joint trajectory couples the queues, so
     per-queue classifications degrade; single-queue levels are reliable
-    for windows long enough that drift clears the threshold.
+    for windows long enough that drift clears the threshold.  ``rng`` is a
+    generator, from which each round spawns its own, or a seed s, which
+    stands for the generator ``substream(s, 0, 2)`` that
+    ``run(seed=s, stream=0, algorithm="fqla-bisect")`` hands over.
     """
     from . import sim
 
@@ -228,14 +232,10 @@ def bisection_placeholder(scenario, V: float, T1: "int | None" = None,
     slots_axis = np.arange(T1, dtype=float)
     slots_axis -= slots_axis.mean()
     denom = float(slots_axis @ slots_axis)
-    if isinstance(rng, np.random.Generator):
-        base = rng
-    else:
-        base = None
-        seed = int(rng)
-    for depth in range(max_depth):
-        gen = base.spawn(1)[0] if base is not None else substream(seed, depth)
-        traj = sim._virtual_trajectory(spec, V, T1, gen, u0=level)
+    if not isinstance(rng, np.random.Generator):
+        rng = substream(int(rng), 0, 2)
+    for _ in range(max_depth):
+        traj = sim._virtual_trajectory(spec, V, T1, rng.spawn(1)[0], u0=level)
         slopes = slots_axis @ (traj[:T1] - traj[:T1].mean(axis=0)) / denom
         for j in range(r):
             if converged[j]:

@@ -40,6 +40,7 @@ __all__ = [
     "SimInvariantError",
     "TailFitError",
     "run",
+    "default_burn_in",
     "deviation_statistics",
     "curve_from_deviations",
     "fit_tail",
@@ -74,18 +75,18 @@ class TailFitError(ValueError):
 class RunConfig:
     """One simulation run.
 
-    ``burn_in`` defaults to min(100 V, slots // 10).  ``stream`` selects
+    ``burn_in`` defaults to default_burn_in(V, slots).  ``stream`` selects
     the substream for this run under the shared seed; sweeps give each
     cell its own stream.  ``placeholders`` overrides the placeholder rule
     for delay-reduced algorithms; ``deviation_reference`` overrides the
     registered U*_V.  ``check_invariants`` turns on the per-slot contract
-    scans (nonnegativity, change bound, sandwich), which abort the run
-    with the offending slot.
+    scans (nonnegativity, change bound, sandwich), run on each block of
+    slots as it finishes, which abort the run with the offending slot.
 
     Memory: the only per-slot series a run keeps are, with a reference
     point, the two post burn-in deviation arrays (16 bytes per slot); the
     costs, U and W paths, states, actions and per-slot drops are kept only
-    under ``record_trace`` or ``check_invariants``.
+    under ``record_trace``.  The invariant scans need O(r _CHUNK) memory.
     """
 
     scenario: "ScenarioHandle | NetworkSpec"
@@ -129,10 +130,9 @@ class SimReport:
     offered exogenous packets dropped rather than a startup artifact.
     ``final_*`` fields are end-of-run snapshots.  The only per-slot
     series are ``deviations`` and ``per_coord_deviations`` (post burn-in,
-    with a reference point) and, under ``record_trace``, ``trace``; the
-    averages and the deviation histograms are built block by block and
-    equal numpy's mean and ``np.bincount`` over the whole series bit for
-    bit.
+    with a reference point) and, under ``record_trace`` only, ``trace``;
+    the averages are built block by block and equal numpy's mean over the
+    whole series bit for bit.
     """
 
     scenario: str
@@ -157,8 +157,6 @@ class SimReport:
     deviation_reference: "np.ndarray | None" = None
     deviations: "np.ndarray | None" = None
     per_coord_deviations: "np.ndarray | None" = None
-    deviation_hist: "np.ndarray | None" = None
-    per_coord_deviation_hist: "np.ndarray | None" = None
     trace: "Trace | None" = None
 
 
@@ -218,17 +216,19 @@ class AbsorptionReport:
 #    padded tables (recorded in phase 1 for continuous families),
 #    admissions, drops, U by one cumsum over the interleaved service and
 #    admission steps (a scalar recursion finishes a queue from its first
-#    clamp at zero), the sandwich violation count, the deviations from a
-#    reference point and their histogram counts, the post burn-in arrival
-#    and drop sums chained onto the running sums with cumsum (sequential
-#    order, like a per-slot +=), and the window means of the costs, U and
-#    W, streamed in numpy's own summation order by _WindowMean.
+#    clamp at zero), the sandwich violation count, the invariant scan
+#    when asked for, the deviations from a reference point, the post
+#    burn-in arrival and drop sums chained onto the running sums with
+#    cumsum (sequential order, like a per-slot +=), and the window means of
+#    the costs, U and W, streamed in numpy's own summation order by
+#    _WindowMean.
 #
 # Both phases apply the operations of fqla_step in the same order, so
 # decisions and backlogs agree bit for bit with qla_decide / rism_step /
 # fqla_step, and every mean is the bits of numpy's mean over the whole
-# series.  A run keeps only its current block of the per-slot series
-# unless a caller needs the whole paths.  _lockstep_finals advances many
+# series.  A run computes in its current block only; a trace is a copy
+# of each finished block into whole-run arrays, and the invariant scan
+# checks each block as it finishes.  _lockstep_finals advances many
 # greedy runs per slot over the padded tables and keeps only their
 # current backlogs; the placeholder warmups use it.
 
@@ -344,24 +344,15 @@ class _WindowMean:
         return self._sum / self.n
 
 
-def _add_counts(hist, values):
-    """hist + np.bincount(values.astype(np.int64)), padded to the longer length."""
-    counts = np.bincount(values.astype(np.int64))
-    if len(counts) < len(hist):
-        counts, hist = hist, counts
-    counts[:len(hist)] += hist
-    return counts
-
-
 @dataclass
 class _Run:
     """What one _loop pass returns.
 
     The mean cost, the arrival and drop sums, the sandwich count, the
-    deviations, their histograms and the means ``avg_u``/``avg_w`` cover
-    the slots from the burn-in on; ``final_u``/``final_w`` are the
-    backlogs after the last slot.  The fields from ``costs`` on are None
-    unless _loop kept the paths.
+    deviations and the means ``avg_u``/``avg_w`` cover the slots from the
+    burn-in on; ``final_u``/``final_w`` are the backlogs after the last
+    slot.  The fields from ``costs`` on, the trace, are None unless _loop
+    was asked for ``paths``.
     """
 
     avg_cost: float
@@ -370,8 +361,6 @@ class _Run:
     bad: "int | None"
     dev: "np.ndarray | None"
     pcd: "np.ndarray | None"
-    dev_hist: "np.ndarray | None"
-    pcd_hist: "np.ndarray | None"
     avg_u: np.ndarray
     avg_w: np.ndarray
     final_u: np.ndarray
@@ -384,7 +373,7 @@ class _Run:
     W: "np.ndarray | None" = None
 
 
-def _loop(spec, V, rng, slots, w0, burn, wl=None, ref=None, paths=False):
+def _loop(spec, V, rng, slots, w0, burn, wl=None, ref=None, paths=False, check=False):
     """Greedy run of ``slots`` slots from W(0) = w0, states drawn from ``rng``.
 
     The mean cost, the arrival and drop sums, the means and the deviations
@@ -394,26 +383,26 @@ def _loop(spec, V, rng, slots, w0, burn, wl=None, ref=None, paths=False):
     Without them U is W (the same array), nothing is dropped and nothing
     is counted: the drop sum is zero and ``bad`` None.  The deviations are
     the Euclidean and max-coordinate distances of W(t) from the reference
-    point ``ref``, None without one, and their histograms are
-    np.bincount of their integer parts.
+    point ``ref``, None without one.
 
     Each block of _CHUNK slots draws its states with sample_states, which
     consumes ``rng`` exactly like one draw of ``slots`` states, runs the
     decisions and the W queue law slot by slot, then derives the block's
-    costs, admissions, drops, U (see _queue_path), violations, deviations,
-    histogram counts and window sums from the W rows and actions with
-    array operations; _WindowMean turns the sums into numpy's means.  W
-    and U live in (_CHUNK + 1, r) buffers whose row 0 carries the last row
-    of the block before, so a run keeps O(_CHUNK r) of them plus the
-    deviations, whatever its length.  With ``paths`` it also keeps the
-    costs, states, actions, drops per slot (None without placeholders) and
-    the (slots + 1, r) U and W paths.
+    costs, admissions, drops, U (see _queue_path), violations, deviations
+    and window sums from the W rows and actions with array operations;
+    _WindowMean turns the sums into numpy's means.  W and U live in
+    (_CHUNK + 1, r) buffers whose row 0 carries the last row of the block
+    before, so a run keeps O(_CHUNK r) of them plus the deviations,
+    whatever its length.  With ``check`` each block goes through
+    _invariant_scan, which raises at its first offending slot.  With
+    ``paths`` each block is also copied out into the trace: the costs,
+    states, actions, drops per slot (None without placeholders) and the
+    (slots + 1, r) U and W paths.
     """
     r = spec.r
-    kept = slots if paths else _CHUNK  # per-slot buffers hold the run or one block
-    W = np.empty((kept + 1, r))
+    W = np.empty((_CHUNK + 1, r))  # row j is the start of the block's slot j
     W[0] = w0
-    costs = np.empty(kept)
+    costs = np.empty(_CHUNK)
     arr_sum, drop_sum = np.zeros(r), np.zeros(r)
     window = slots - burn
     cost_mean, w_mean, u_mean = _WindowMean(window), _WindowMean(window, r), None
@@ -424,32 +413,30 @@ def _loop(spec, V, rng, slots, w0, burn, wl=None, ref=None, paths=False):
         U[0] = 0.0
         u_mean = _WindowMean(window, r)
         bad = int(_sandwich_bad(U[:1], W[:1], wl, spec.delta_max).sum())
-    dev = pcd = dev_hist = pcd_hist = None
+    dev = pcd = None
     if ref is not None:
         dev, pcd = np.empty(window), np.empty(window)
-        dev_hist = pcd_hist = np.zeros(0, dtype=np.int64)
     finite = spec.is_finite
     if finite:
         tab = tables(spec)
         sma, arr, svc = tab.sma, tab.arr_rows, tab.svc_rows
         vcost = [V * c for c in tab.cost]
-        acts = np.empty(kept, dtype=np.int64)
+        acts = np.empty(_CHUNK, dtype=np.int64)
     else:
         fams = [st.actions for st in spec.states]
-        acts = np.empty(kept)
+        acts = np.empty(_CHUNK)
         a_buf, mu_buf = np.empty((_CHUNK, r)), np.empty((_CHUNK, r))
-    idx = np.empty(slots, dtype=np.int64) if paths else None
-    drops_t = np.empty(slots) if paths and wl is not None else None
+    if paths:  # the trace, into which each finished block is copied
+        t_costs, t_acts = np.empty(slots), np.empty(slots, dtype=acts.dtype)
+        t_idx, t_W = np.empty(slots, dtype=np.int64), np.empty((slots + 1, r))
+        t_U, t_drops = (t_W, None) if wl is None else (np.empty_like(t_W), np.empty(slots))
+        t_W[0], t_U[0] = W[0], U[0]
     w, zero = W[0], np.zeros(())  # an array zero spares np.maximum a scalar conversion
     for t0 in range(0, slots, _CHUNK):
         t1 = min(t0 + _CHUNK, slots)
         n = t1 - t0
-        b = t0 if paths else 0
-        Wb, Ub = W[b:b + n + 1], U[b:b + n + 1]  # row j is slot t0 + j's start
-        ks, cb = acts[b:b + n], costs[b:b + n]
+        Wb, Ub, ks, cb = W[:n + 1], U[:n + 1], acts[:n], costs[:n]
         states = sample_states(spec, rng, n)
-        if paths:
-            idx[t0:t1] = states
         if finite:
             k_list = []
             for row, i in zip(Wb[1:], states.tolist()):
@@ -482,34 +469,35 @@ def _loop(spec, V, rng, slots, w0, burn, wl=None, ref=None, paths=False):
             admit = np.maximum(a - np.maximum(wl - Wb[:n], 0.0), 0.0)
             dropped = a - admit
             if paths:
-                drops_t[t0:t1] = dropped.sum(axis=1)
+                t_drops[t0:t1] = dropped.sum(axis=1)
             drop_sum = _chained_sum(drop_sum, dropped[lo:])
             _queue_path(Ub, mu, admit)
             bad += int(_sandwich_bad(Ub[1:], Wb[1:], wl, spec.delta_max).sum())
+        if check:
+            _invariant_scan(spec, states, Ub, None if wl is None else Wb, wl, t0)
         arr_sum = _chained_sum(arr_sum, a[lo:])
         if ref is not None and lo < n:
             diff = Wb[lo:n] - ref
-            d, p = dev[t0 + lo - burn:t1 - burn], pcd[t0 + lo - burn:t1 - burn]
-            d[:] = np.linalg.norm(diff, axis=1)
-            p[:] = np.abs(diff).max(axis=1)
-            dev_hist, pcd_hist = _add_counts(dev_hist, d), _add_counts(pcd_hist, p)
-        # last, as the means may overwrite the rows they add (copies of a kept
-        # path); row n carries on into the next block
-        w_mean.add(Wb[lo:n].copy() if paths else Wb[lo:n])
+            dev[t0 + lo - burn:t1 - burn] = np.linalg.norm(diff, axis=1)
+            pcd[t0 + lo - burn:t1 - burn] = np.abs(diff).max(axis=1)
+        if paths:
+            t_costs[t0:t1], t_acts[t0:t1], t_idx[t0:t1] = cb, ks, states
+            t_W[t0 + 1:t1 + 1], t_U[t0 + 1:t1 + 1] = Wb[1:], Ub[1:]
+        # last, as the means may overwrite the rows they add; row n carries
+        # on into the next block
+        w_mean.add(Wb[lo:n])
         if wl is not None:
-            u_mean.add(Ub[lo:n].copy() if paths else Ub[lo:n])
-        if not paths:
-            W[0] = Wb[n]
-            if wl is not None:
-                U[0] = Ub[n]
-            w = W[0]
+            u_mean.add(Ub[lo:n])
+        W[0] = Wb[n]
+        if wl is not None:
+            U[0] = Ub[n]
+        w = W[0]
     avg_w = w_mean.mean()
-    end = slots if paths else 0
-    out = _Run(cost_mean.mean(), arr_sum, drop_sum, bad, dev, pcd, dev_hist, pcd_hist,
-               avg_w if wl is None else u_mean.mean(), avg_w, U[end].copy(), W[end].copy())
+    out = _Run(cost_mean.mean(), arr_sum, drop_sum, bad, dev, pcd,
+               avg_w if wl is None else u_mean.mean(), avg_w, U[0].copy(), W[0].copy())
     if paths:
         out.costs, out.states, out.actions, out.drops, out.U, out.W = (
-            costs, idx, acts, drops_t, U, W)
+            t_costs, t_idx, t_acts, t_drops, t_U, t_W)
     return out
 
 
@@ -582,18 +570,19 @@ def _resolve_placeholders(handle: ScenarioHandle, config: RunConfig) -> np.ndarr
         regime = config.regime or handle.geometry or "polyhedral"
         return fqla_placeholder_ideal(u_star, V, regime)
     if config.algorithm == "fqla-general":
-        gen = np.random.default_rng(
-            np.random.SeedSequence(config.seed, spawn_key=(config.stream, 1)))
         est = fqla_general_estimate(handle, V, T=config.general_T, K=config.general_K,
-                                    rng=gen)
+                                    rng=substream(config.seed, config.stream, 1))
         return est.placeholders
     if config.algorithm == "fqla-bisect":
-        gen = np.random.default_rng(
-            np.random.SeedSequence(config.seed, spawn_key=(config.stream, 2)))
         res = bisection_placeholder(handle, V, T1=config.bisect_T1, guess=config.bisect_guess,
-                                    rng=gen)
+                                    rng=substream(config.seed, config.stream, 2))
         return res.placeholders
     raise ValueError(f"unknown algorithm {config.algorithm!r}")
+
+
+def default_burn_in(V: float, slots: int) -> int:
+    """Slots dropped from a run's statistics when no burn-in is given: min(100 V, slots // 10)."""
+    return int(min(100 * V, slots // 10))
 
 
 def run(config: RunConfig) -> SimReport:
@@ -615,7 +604,7 @@ def run(config: RunConfig) -> SimReport:
     slots = int(config.slots)
     burn_in = config.burn_in
     if burn_in is None:
-        burn_in = int(min(100 * config.V, slots // 10))
+        burn_in = default_burn_in(config.V, slots)
     if not (0 <= burn_in < slots):
         raise ValueError(f"burn_in must lie in [0, slots), got {burn_in}")
 
@@ -624,7 +613,7 @@ def run(config: RunConfig) -> SimReport:
     wl = _resolve_placeholders(handle, config) if is_fqla else None
     lp = _loop(spec, config.V, substream(config.seed, config.stream), slots,
                wl if is_fqla else u0, burn_in, wl, u_star,
-               paths=config.record_trace or config.check_invariants)
+               paths=config.record_trace, check=config.check_invariants)
 
     # Drop accounting matches the averages: both sides of the fraction
     # count post burn-in slots only, so the startup climb from W(0) to
@@ -633,9 +622,6 @@ def run(config: RunConfig) -> SimReport:
     offered = float(lp.arr_sum[list(exo)].sum())
     drops_total = float(lp.drop_sum.sum())
     drop_fraction = drops_total / offered if offered > 0 else 0.0
-
-    if config.check_invariants:
-        _invariant_scan(spec, lp.states, lp.U, lp.W if is_fqla else None, wl, lp.bad)
 
     report = SimReport(
         scenario=handle.name,
@@ -664,8 +650,6 @@ def run(config: RunConfig) -> SimReport:
         report.deviation_reference = u_star
         report.deviations = lp.dev
         report.per_coord_deviations = lp.pcd
-        report.deviation_hist = lp.dev_hist
-        report.per_coord_deviation_hist = lp.pcd_hist
 
     if config.record_trace:
         report.trace = Trace(
@@ -685,9 +669,21 @@ def _sandwich_bad(U, W, wl, delta_max):
     return (U < floor - _TOL) | (U > floor + delta_max + _TOL)
 
 
-def _invariant_scan(spec, idx, U, W, wl, sandwich_violations):
-    """Raise on the first slot breaking a per-slot contract."""
+def _invariant_scan(spec, idx, U, W, wl, t0=0):
+    """Raise on the first slot of a block breaking a per-slot contract.
+
+    ``idx`` holds the states of slots t0, t0 + 1, ... and U and W (None
+    without placeholders) the len(idx) + 1 path rows from t0 on, so row 0
+    is the row before the block: the run's start for t0 = 0, else the
+    last row of the block before, which that block's scan has checked.
+    The checks run in the order U negative, U jump, W negative, W jump,
+    sandwich; scanning the blocks of a path in turn raises what one scan
+    of the whole path raises when only one block breaks a contract.
+    """
     B = spec.B
+
+    def fail(message, j, t):  # slot t0 + j, reported with row t
+        raise SimInvariantError(message, t0 + j, int(idx[j]), U[t], None if W is None else W[t])
 
     def first_bad(mask):
         return int(np.flatnonzero(mask)[0])
@@ -698,21 +694,17 @@ def _invariant_scan(spec, idx, U, W, wl, sandwich_violations):
         neg = (X < -_TOL).any(axis=1)
         if neg.any():
             t = first_bad(neg)  # row t was produced by slot t - 1
-            slot = max(t - 1, 0)
-            raise SimInvariantError(f"{name} went negative", slot, int(idx[slot]),
-                                    U[t], None if W is None else W[t])
+            fail(f"{name} went negative", max(t - 1, 0), t)
         step = np.linalg.norm(np.diff(X, axis=0), axis=1)
         jump = step > B + _TOL
         if jump.any():
             t = first_bad(jump)
-            raise SimInvariantError(
-                f"{name} moved {step[t]:.6g} > B={B:.6g} in one slot", t, int(idx[t]),
-                U[t], None if W is None else W[t])
-    if sandwich_violations:
-        t = first_bad(_sandwich_bad(U, W, wl, spec.delta_max).any(axis=1))
-        slot = max(t - 1, 0)
-        raise SimInvariantError("sandwich bound violated", slot, int(idx[slot]),
-                                U[t], W[t])
+            fail(f"{name} moved {step[t]:.6g} > B={B:.6g} in one slot", t, t)
+    if W is not None:
+        sandwich = _sandwich_bad(U, W, wl, spec.delta_max).any(axis=1)
+        if sandwich.any():
+            t = first_bad(sandwich)
+            fail("sandwich bound violated", max(t - 1, 0), t)
 
 
 # -- deviation statistics ----------------------------------------------------

@@ -56,7 +56,7 @@ def finite_specs(draw, max_r=3):
        K=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
 def test_batched_warmups_equal_single_runs(spec, V, T, K, seed):
     est = fqla_general_estimate(spec, V, T=T, K=K, rng=seed)
-    finals = [sim._virtual_trajectory(spec, V, T, substream(seed, k))[-1] for k in range(K)]
+    finals = [sim._virtual_trajectory(spec, V, T, g)[-1] for g in substream(seed, 0, 1).spawn(K)]
     assert np.array_equal(est.w_terminal_mean, np.array(finals).mean(axis=0))
 
 
@@ -176,19 +176,16 @@ def assert_raw_bits_equal(spec, V, seed, slots, burn, w0, wl, ref, paths):
     idx = sample_states(spec, substream(seed), slots)
     U, W, costs, acts, drops_t, arr_sum, drop_sum = reference_loop(spec, V, idx, w0, burn, wl)
     # the statistics run() used to derive from the full per-slot series;
-    # the means and histograms are the identities the streamed blocks must
-    # reproduce
+    # the means are the identities the streamed blocks must reproduce
     want = {"avg_cost": costs[burn:].mean(), "arr_sum": arr_sum, "drop_sum": drop_sum,
             "bad": None if wl is None else int(sim._sandwich_bad(U, W, wl, spec.delta_max).sum()),
-            "dev": None, "pcd": None, "dev_hist": None, "pcd_hist": None,
+            "dev": None, "pcd": None,
             "avg_u": U[burn:slots].mean(axis=0), "avg_w": W[burn:slots].mean(axis=0),
             "final_u": U[slots], "final_w": W[slots], "costs": None,
             "states": None, "actions": None, "drops": None, "U": None, "W": None}
     if ref is not None:
         diff = W[burn:slots] - ref
         want["dev"], want["pcd"] = np.linalg.norm(diff, axis=1), np.abs(diff).max(axis=1)
-        want["dev_hist"] = np.bincount(want["dev"].astype(np.int64))
-        want["pcd_hist"] = np.bincount(want["pcd"].astype(np.int64))
     if paths:
         want.update(costs=costs, states=idx, actions=acts, drops=drops_t, U=U, W=W)
     for name, e in want.items():
@@ -261,19 +258,22 @@ def trace_burn_ins(slots):
 
 
 def assert_trace_changes_no_report_bits(scenario, V, slots, seed, burn, kw):
-    """run() keeping every per-slot series reports the bits of a streamed run."""
+    """run() keeping every per-slot series, or checking the invariants per
+    block, reports the bits of a plain streamed run."""
     cfg = dict(scenario=scenario, V=V, slots=slots, seed=seed, burn_in=burn, **kw)
     plain = sim.run(sim.RunConfig(**cfg))
     traced = sim.run(sim.RunConfig(record_trace=True, **cfg))
-    assert plain.trace is None and traced.trace is not None
-    for f in dataclasses.fields(sim.SimReport):
-        if f.name == "trace":
-            continue
-        g, e = getattr(plain, f.name), getattr(traced, f.name)
-        if e is None or isinstance(e, (str, int)):
-            assert g == e, f.name
-        else:
-            assert same_bits(g, e), f.name
+    checked = sim.run(sim.RunConfig(check_invariants=True, **cfg))
+    assert plain.trace is None and checked.trace is None and traced.trace is not None
+    for other in (traced, checked):
+        for f in dataclasses.fields(sim.SimReport):
+            if f.name == "trace":
+                continue
+            g, e = getattr(plain, f.name), getattr(other, f.name)
+            if e is None or isinstance(e, (str, int)):
+                assert g == e, f.name
+            else:
+                assert same_bits(g, e), f.name
 
 
 @settings(max_examples=60, deadline=None)

@@ -205,11 +205,10 @@ def test_general_estimate_averaging_damps_variance(five):
 
 def single_run_mean(spec, V, T, K, rng):
     """Mean terminal backlog of K one-at-a-time warmups on the estimator's streams."""
-    if isinstance(rng, np.random.Generator):
-        streams = rng.spawn(K)
-    else:
-        streams = [substream(rng, k) for k in range(K)]
-    return np.array([sim._virtual_trajectory(spec, V, T, g)[-1] for g in streams]).mean(axis=0)
+    if not isinstance(rng, np.random.Generator):
+        rng = substream(rng, 0, 1)
+    return np.array([sim._virtual_trajectory(spec, V, T, g)[-1]
+                     for g in rng.spawn(K)]).mean(axis=0)
 
 
 def _ragged_spec():

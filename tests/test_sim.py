@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lyapnet import scenarios
+from lyapnet import scenarios, sim
 from lyapnet.model import tables
 from lyapnet.sim import (
     RunConfig,
@@ -17,6 +17,7 @@ from lyapnet.sim import (
     fit_tail,
     report_csv_header,
     report_csv_row,
+    default_burn_in,
     run,
     write_report_csv,
     write_trace_csv,
@@ -29,8 +30,7 @@ def _report_equal(a, b):
                  "burn_in", "sandwich_violations"):
         assert getattr(a, name) == getattr(b, name), name
     for name in ("avg_backlog", "final_backlog", "drops", "deviations",
-                 "deviation_hist", "avg_virtual_backlog", "final_virtual",
-                 "placeholders"):
+                 "avg_virtual_backlog", "final_virtual", "placeholders"):
         va, vb = getattr(a, name), getattr(b, name)
         if va is None:
             assert vb is None, name
@@ -71,15 +71,21 @@ def _traced_peak(cfg):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("name", ["five-queue-chain", "single-queue-continuous"])
-def test_run_memory_grows_only_by_the_kept_series(name):
+@pytest.mark.parametrize("name,check", [
+    pytest.param("five-queue-chain", False, id="five-queue-chain"),
+    pytest.param("single-queue-continuous", False, id="single-queue-continuous"),
+    pytest.param("five-queue-chain", True, id="five-queue-chain-check_invariants"),
+])
+def test_run_memory_grows_only_by_the_kept_series(name, check):
     """Without a trace a run keeps only the two deviation arrays (16 bytes
-    per slot): no costs, and no U and W paths, whatever r is.  At most 20
-    bytes per extra slot (about 29.5 and 56 before the means were streamed)."""
+    per slot): no costs, and no U and W paths, whatever r is, also when the
+    invariants are checked.  At most 20 bytes per extra slot (about 29.5
+    and 56 before the means were streamed, 232 with the checks before
+    they ran per block)."""
     handle = scenarios.by_name(name)
     assert handle.u_star is not None  # so the run keeps its deviation arrays
     peaks = [_traced_peak(RunConfig(scenario=handle, V=100.0, algorithm="fqla-ideal",
-                                    slots=slots, seed=3))
+                                    slots=slots, seed=3, check_invariants=check))
              for slots in (20_000, 40_000)]
     assert (peaks[1] - peaks[0]) / 20_000 <= 20.0
 
@@ -89,7 +95,7 @@ def test_run_memory_grows_only_by_the_kept_series(name):
 
 def test_burn_in_default_rule(five):
     rep = run(RunConfig(scenario=five, V=50.0, slots=100_000, seed=0))
-    assert rep.burn_in == 5_000  # min(100 V, slots / 10)
+    assert rep.burn_in == 5_000 == default_burn_in(50.0, 100_000)  # min(100 V, slots / 10)
     rep = run(RunConfig(scenario=five, V=50.0, slots=20_000, seed=0))
     assert rep.burn_in == 2_000
     rep = run(RunConfig(scenario=five, V=50.0, slots=20_000, seed=0, burn_in=123))
@@ -180,6 +186,16 @@ def test_general_run_matches_direct_estimate(five):
     np.testing.assert_array_equal(rep.placeholders, est.placeholders)
 
 
+def test_general_estimate_seed_is_the_stream_zero_run(five):
+    """An int seed s estimates with the generator run(seed=s, stream=0) hands over."""
+    from lyapnet.sched import fqla_general_estimate
+
+    rep = run(RunConfig(scenario=five, V=50.0, slots=2_000, seed=6, algorithm="fqla-general",
+                        general_T=300, general_K=3))
+    est = fqla_general_estimate(five, 50.0, T=300, K=3, rng=6)
+    np.testing.assert_array_equal(rep.placeholders, est.placeholders)
+
+
 def test_bisect_run_matches_direct_estimate(discq):
     from lyapnet.sched import bisection_placeholder
 
@@ -187,6 +203,16 @@ def test_bisect_run_matches_direct_estimate(discq):
                         algorithm="fqla-bisect", bisect_T1=100))
     gen = np.random.default_rng(np.random.SeedSequence(6, spawn_key=(0, 2)))
     est = bisection_placeholder(discq, 50.0, T1=100, rng=gen)
+    np.testing.assert_array_equal(rep.placeholders, est.placeholders)
+
+
+def test_bisection_seed_is_the_stream_zero_run(discq):
+    """An int seed s bisects with the generator run(seed=s, stream=0) hands over."""
+    from lyapnet.sched import bisection_placeholder
+
+    rep = run(RunConfig(scenario=discq, V=50.0, slots=2_000, seed=0,
+                        algorithm="fqla-bisect", bisect_T1=100))
+    est = bisection_placeholder(discq, 50.0, T1=100, rng=0)
     np.testing.assert_array_equal(rep.placeholders, est.placeholders)
 
 
@@ -213,8 +239,6 @@ def test_deviation_record_and_histograms(five):
     rep = run(RunConfig(scenario=five, V=50.0, slots=60_000, seed=1))
     n = rep.slots - rep.burn_in
     assert rep.deviations.shape == (n,)
-    assert rep.deviation_hist.sum() == n
-    assert rep.per_coord_deviation_hist.sum() == n
     np.testing.assert_array_equal(rep.deviation_reference, five.u_star(50.0))
     # norm deviation dominates the per-coordinate one
     assert (rep.deviations >= rep.per_coord_deviations - 1e-12).all()
@@ -295,7 +319,7 @@ def test_invariant_scan_rejects_negative_start(five):
     U = np.zeros((3, five.spec.r))
     U[0, 0] = -1.0
     with pytest.raises(SimInvariantError) as err:
-        _invariant_scan(five.spec, np.array([0, 1]), U, None, None, None)
+        _invariant_scan(five.spec, np.array([0, 1]), U, None, None)
     assert err.value.slot == 0
     assert "negative" in str(err.value)
 
@@ -304,6 +328,55 @@ def test_invariant_scan_passes_clean_runs(five):
     rep = run(RunConfig(scenario=five, V=50.0, slots=20_000, seed=3,
                         algorithm="fqla-ideal", check_invariants=True))
     assert rep.sandwich_violations == 0
+
+
+CHUNK = sim._CHUNK
+EDGE_ROWS = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 6]  # the last of 3 CHUNK + 7 rows
+
+
+def _clean_paths(spec, rows, seed):
+    """States and sandwiched U/W paths of ``rows`` rows, every step well under B."""
+    rng = np.random.default_rng(seed)
+    wl = np.full(spec.r, 10.0)
+    W = wl + 3.0 + 0.1 * rng.random((rows, spec.r))
+    U = W - wl + 0.5 * spec.delta_max
+    return rng.integers(spec.n_states, size=rows - 1), U, W, wl
+
+
+def _scan_error(scan):
+    with pytest.raises(SimInvariantError) as err:
+        scan()
+    return err.value.slot, err.value.state, str(err.value)
+
+
+@pytest.mark.parametrize("row", EDGE_ROWS)
+@pytest.mark.parametrize("kind", ["negative", "jump", "sandwich"])
+def test_block_scans_raise_what_the_whole_path_scan_raises(five, kind, row):
+    """One violation anywhere, block edges included: scanning block by block
+    (the row before each block, slot offset t0) raises the same slot, state
+    and message as one scan of the whole path."""
+    spec = five.spec
+    idx, U, W, wl = _clean_paths(spec, 3 * CHUNK + 7, seed=row)
+    _invariant_scan(spec, idx, U, W, wl)  # clean before the violation
+    if kind == "negative":
+        U[row, 2] = -0.5
+    elif kind == "jump":  # a spike in both paths keeps the sandwich
+        U[row] += spec.B
+        W[row] += spec.B
+    else:
+        U[row, 4] += spec.delta_max
+    slots = len(idx)
+
+    def by_blocks():
+        for t0 in range(0, slots, CHUNK):
+            t1 = min(t0 + CHUNK, slots)
+            _invariant_scan(spec, idx[t0:t1], U[t0:t1 + 1], W[t0:t1 + 1], wl, t0)
+
+    want = _scan_error(lambda: _invariant_scan(spec, idx, U, W, wl))
+    assert want[2].startswith({"negative": "backlog went negative",
+                               "jump": "backlog moved",
+                               "sandwich": "sandwich bound violated"}[kind])
+    assert _scan_error(by_blocks) == want
 
 
 # -- absorption --------------------------------------------------------------
