@@ -13,11 +13,11 @@ from lyapnet.sim import (
     TailFitError,
     absorption_check,
     curve_from_deviations,
+    default_burn_in,
     deviation_statistics,
     fit_tail,
     report_csv_header,
     report_csv_row,
-    default_burn_in,
     run,
     write_report_csv,
     write_trace_csv,
