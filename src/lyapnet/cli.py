@@ -129,18 +129,25 @@ def cmd_run(args) -> int:
 # -- sweep -------------------------------------------------------------------
 
 
-def _sweep_worker(cell):
-    """Run one sweep cell ``(args, V, seed)``; returns ("ok", report) or ("err", message)."""
-    args, V, seed = cell
-    try:
-        rep = simulation.run(_make_config(args, _load_scenario(args), V, seed))
-        # scalars only travel back to the coordinator
-        rep.deviations = None
-        rep.per_coord_deviations = None
-        rep.trace = None
-        return ("ok", rep)
-    except Exception as e:  # report per-cell, keep the sweep going
-        return ("err", f"V={V:g} seed={seed}: {e}")
+def _sweep_worker(batch):
+    """Run a batch ``(args, [(V, seed), ...])`` of sweep cells as one batched kernel.
+
+    Returns ("ok", report) or ("err", message) per cell, in order.  Each
+    cell's config is checked and resolved on its own first, so a bad cell
+    fails alone; the good ones then run together through the second step
+    of sim.run_many, which keeps no per-slot series.
+    """
+    args, cells = batch
+    handle = _load_scenario(args)
+    results, setups = [], []
+    for V, seed in cells:
+        try:
+            setups.append(simulation._setup(_make_config(args, handle, V, seed)))
+            results.append(None)
+        except Exception as e:  # report per-cell, keep the sweep going
+            results.append(("err", f"V={V:g} seed={seed}: {e}"))
+    reports = iter(simulation._run_batched(setups))
+    return [res or ("ok", next(reports)) for res in results]
 
 
 def cmd_sweep(args) -> int:
@@ -156,12 +163,15 @@ def cmd_sweep(args) -> int:
     if not v_list or not seeds:
         raise UsageError("--V-list and --seeds must be non-empty")
     _maybe_vector(args, "placeholders", r)  # a bad vector is a usage error, not a cell failure
-    cells = [(args, V, seed) for seed in seeds for V in v_list]
-    if args.jobs == 1:
-        results = [_sweep_worker(c) for c in cells]
+    cells = [(V, seed) for seed in seeds for V in v_list]
+    jobs = min(args.jobs, len(cells))  # one contiguous batch of cells per job
+    batches = [(args, cells[k * len(cells) // jobs:(k + 1) * len(cells) // jobs])
+               for k in range(jobs)]
+    if jobs == 1:
+        results = _sweep_worker(batches[0])
     else:
-        with ProcessPoolExecutor(max_workers=args.jobs) as ex:
-            results = list(ex.map(_sweep_worker, cells))
+        with ProcessPoolExecutor(max_workers=jobs) as ex:
+            results = [res for part in ex.map(_sweep_worker, batches) for res in part]
 
     reports, failures = [], []
     for status, payload in results:
@@ -270,24 +280,32 @@ def cmd_dual(args) -> int:
 
 
 def _read_trace(path: str):
-    """Parse a trace CSV back into arrays; W is None when its columns are empty."""
+    """Parse a trace CSV back into arrays; W is None when its columns are empty.
+
+    The rows are transposed into columns, and each column is converted
+    with one map of int() or float() over its fields.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader)
-        rows = list(reader)
-    if not rows:
+        columns = list(zip(*reader))
+    if not columns:
         raise ValidationError(path, "trace file has no data rows")
     cols = {name: i for i, name in enumerate(header)}
     u_cols = [cols[c] for c in header if c.startswith("U_")]
     w_cols = [cols[c] for c in header if c.startswith("W_")]
     if "state" not in cols or not u_cols:
         raise ValidationError(path, "not a trace CSV (missing state/U_ columns)")
-    n = len(rows)
-    states = np.array([int(row[cols["state"]]) for row in rows])
-    costs = np.array([float(row[cols["cost"]]) for row in rows])
-    u = np.array([[float(row[c]) for c in u_cols] for row in rows])
-    has_w = w_cols and rows[0][w_cols[0]] != ""
-    w = np.array([[float(row[c]) for c in w_cols] for row in rows]) if has_w else None
+    n = len(columns[0])
+
+    def parse(j, kind=float):
+        return np.fromiter(map(kind, columns[j]), dtype=kind, count=n)
+
+    states = parse(cols["state"], int)
+    costs = parse(cols["cost"])
+    u = np.column_stack([parse(c) for c in u_cols])
+    has_w = w_cols and columns[w_cols[0]][0] != ""
+    w = np.column_stack([parse(c) for c in w_cols]) if has_w else None
     return states, costs, u, w
 
 

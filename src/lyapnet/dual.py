@@ -146,8 +146,11 @@ class SlacknessResult:
 # -- per-state selection -----------------------------------------------------
 #
 # One canonical score computation, _finite_argmin, is shared by dual
-# evaluation, the one-shot greedy decision, RISM and the simulation loop
-# (sim._loop), so their selections agree bit for bit.  It scores with
+# evaluation, the one-shot greedy decision, RISM and the single-run
+# simulation loop (sim._loop at R = 1), so their selections agree bit for
+# bit; batched runs score with sim._stacked_step's stacked matmul, which
+# gave the gemv's bits in the run_many and warmup property tests under the
+# SkylakeX, Haswell, Sandybridge and Prescott OpenBLAS kernels.  It scores with
 # ``sma_i.dot(u)``, the same BLAS gemv call as ``sma_i @ u`` without the
 # matmul ufunc's dispatch, and takes the first maximum of the rounded
 # scores.  Rounding can separate scores that tie in exact arithmetic and

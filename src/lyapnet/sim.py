@@ -40,6 +40,7 @@ __all__ = [
     "SimInvariantError",
     "TailFitError",
     "run",
+    "run_many",
     "default_burn_in",
     "deviation_statistics",
     "curve_from_deviations",
@@ -131,8 +132,8 @@ class SimReport:
     ``final_*`` fields are end-of-run snapshots.  The only per-slot
     series are ``deviations`` and ``per_coord_deviations`` (post burn-in,
     with a reference point) and, under ``record_trace`` only, ``trace``;
-    the averages are built block by block and equal numpy's mean over the
-    whole series bit for bit.
+    run_many leaves all three None.  The averages are built block by block
+    and equal numpy's mean over the whole series bit for bit.
     """
 
     scenario: str
@@ -203,36 +204,45 @@ class AbsorptionReport:
 # FQLA is QLA run on a virtual backlog W: W follows the plain queue law and
 # drives every decision, while the actual backlog U admits arrivals only
 # in so far as W stays at or above the placeholders.  QLA is the case
-# without placeholders (U = W), so run() drives every algorithm through
-# the one _loop.  No decision reads U, the costs or the drops, so _loop
-# works through the run in blocks of _CHUNK slots, each in two phases:
+# without placeholders (U = W), so every algorithm goes through the one
+# _loop.  _loop advances R runs of one spec together (run() passes R = 1,
+# run_many a batch); each run has its own V, W(0), placeholders and state
+# stream, and the block buffers gain a run axis: (rows + 1, R, r) with
+# rows = max(1, _CHUNK // R), so a block holds about _CHUNK run-slots at
+# any R.  No decision reads U, the costs or the drops, so _loop works
+# through the run in blocks, each in two phases:
 #
-# 1. per slot, only what the next decision needs: the greedy choice (the
-#    dual._finite_argmin score shared with the one-shot API, or a
-#    family's dual_argmin) and the W queue law, written in place into
-#    the preallocated row W[t+1] with no temporary; the block's actions
-#    are stored once at its end;
-# 2. per block, vectorized: costs, arrivals and services gathered from the
-#    padded tables (recorded in phase 1 for continuous families),
-#    admissions, drops, U by one cumsum over the interleaved service and
-#    admission steps (a scalar recursion finishes a queue from its first
-#    clamp at zero), the sandwich violation count, the invariant scan
-#    when asked for, the deviations from a reference point, the post
-#    burn-in arrival and drop sums chained onto the running sums with
-#    cumsum (sequential order, like a per-slot +=), and the window means of
-#    the costs, U and W, streamed in numpy's own summation order by
-#    _WindowMean.
+# 1. per slot, only what the next decision needs: the greedy choice and
+#    the W queue law, written in place into the preallocated row W[t+1];
+#    the block's actions are stored once at its end.  The code depends on R:
+#    - R = 1: the dual._finite_argmin score shared with the one-shot API,
+#      or the family's dual_argmin, on (r,) rows (at R = 1 a batched step
+#      was about 30% slower for continuous families and 2x for tables);
+#    - R > 1, finite tables: _stacked_step, one take/matmul/argmax over
+#      the padded tables for all R runs, which _lockstep_finals also uses;
+#    - R > 1, continuous families: each run's dual_argmin, cost, arrivals
+#      and services, then one vectorized W law per slot;
+# 2. per block, vectorized over slots and runs: costs, arrivals and
+#    services gathered from the padded tables (recorded in phase 1 for
+#    continuous families), admissions, drops, U by one cumsum over the
+#    interleaved service and admission steps (a scalar recursion finishes
+#    a queue from its first clamp at zero), the per-run sandwich violation
+#    counts, the invariant scan when asked for, the deviations from a
+#    reference point, the post burn-in arrival and drop sums chained onto
+#    the running sums with cumsum (sequential order, like a per-slot +=),
+#    and the window means of the costs, U and W, streamed in numpy's own
+#    summation order by _WindowMean.
 #
 # Both phases apply the operations of fqla_step in the same order, so
 # decisions and backlogs agree bit for bit with qla_decide / rism_step /
-# fqla_step, and every mean is the bits of numpy's mean over the whole
-# series.  A run computes in its current block only; a trace is a copy
-# of each finished block into whole-run arrays, and the invariant scan
-# checks each block as it finishes.  _lockstep_finals advances many
-# greedy runs per slot over the padded tables and keeps only their
-# current backlogs; the placeholder warmups use it.
+# fqla_step at every R, and every mean is the bits of numpy's mean over the
+# run's whole series.  A run computes in its current block only; a trace
+# is a copy of each finished block into whole-run arrays, and the
+# invariant scan checks each block as it finishes (both for R = 1 only).
+# _lockstep_finals advances many greedy runs of one V with _stacked_step
+# and keeps only their current backlogs; the placeholder warmups use it.
 
-_CHUNK = 256  # slots per block: bookkeeping in _loop, state draws in _lockstep_finals
+_CHUNK = 256  # run-slots per block: bookkeeping in _loop, state draws in _lockstep_finals
 
 
 def _queue_path(path, mu, x):
@@ -295,58 +305,89 @@ def _pairwise_tree(n):
 
 
 class _WindowMean:
-    """X.mean(axis=0) of n values, or n rows of r, fed in consecutive blocks.
+    """Per-run X.mean(axis=0) of n values, or n rows of r, for R runs fed in blocks.
 
-    The result has numpy's bits.  numpy reduces axis 0 of a C-contiguous
-    (n, r) array with r >= 2 row by row, so those sums are chained in slot
-    order (_chained_sum, which overwrites the rows it is fed).  A 1-D line
-    or an (n, 1) column is reduced as one line, to 0.0 + the pairwise sum
-    of _pairwise_tree, whose leaves are summed by np.add.reduce as they
-    fill; at most one leaf is held across a block edge.
+    Blocks have shape (m, R) for lines (``r`` None) or (m, R, r).  The
+    result has the bits of numpy's mean over each run's own C-contiguous
+    series.  numpy reduces axis 0 of an (n, r) array with r >= 2 row by
+    row, so those sums are chained in slot order (_chained_sum, which
+    overwrites the rows it is fed).  A 1-D line or an (n, 1) column is
+    reduced as one line, to 0.0 + the pairwise sum of _pairwise_tree; the
+    R lines share the tree, and each leaf is summed by np.add.reduce along
+    the contiguous axis of an (R, leaf) array as it fills.  At most one
+    leaf is held across a block edge.
     """
 
-    def __init__(self, n, r=None):
-        self.n, self.r = n, r
+    def __init__(self, n, R, r=None):
+        self.n, self.R, self.r = n, R, r
         self._rows = r is not None and r >= 2
         if self._rows:
-            self._sum = np.zeros(r)
+            self._sum = np.zeros((R, r))
             return
         self._tree = _pairwise_tree(n)
         self._need = next(self._tree)
-        self._leaf, self._held = np.empty(min(n, _PW_LEAF)), 0
+        self._leaf, self._held = np.empty((R, min(n, _PW_LEAF))), 0
 
     def add(self, rows):
         if self._rows:
             self._sum = _chained_sum(self._sum, rows)
             return
-        x = rows.reshape(-1)
+        x = rows.reshape(len(rows), self.R)
         while len(x):
             need = self._need - self._held
             if self._held == 0 and len(x) >= need:
-                leaf, x = x[:need], x[need:]
+                leaf, x = np.ascontiguousarray(x[:need].T), x[need:]
             else:  # gather a leaf that spans a block edge
                 take = min(need, len(x))
-                self._leaf[self._held:self._held + take] = x[:take]
+                self._leaf[:, self._held:self._held + take] = x[:take].T
                 self._held += take
                 x = x[take:]
                 if take < need:
                     return
-                leaf, self._held = self._leaf[:self._need], 0
+                leaf, self._held = np.ascontiguousarray(self._leaf[:, :self._need]), 0
             try:
-                self._need = self._tree.send(float(np.add.reduce(leaf)))
+                self._need = self._tree.send(np.add.reduce(leaf, axis=1))
             except StopIteration as done:
                 self._sum = 0.0 + done.value
 
     def mean(self):
-        """Python float for a line, else an (r,) array."""
-        if self.r == 1:
-            return np.array([self._sum / self.n])
-        return self._sum / self.n
+        """(R,) for lines, else (R, r)."""
+        m = self._sum / self.n
+        return m[:, None] if self.r == 1 else m
+
+
+def _stacked_step(tab):
+    """The greedy slot of R runs at once over the padded tables.
+
+    Returns ``step(i, vc, u, out)``: run k, in state i[k] with backlog
+    u[k] and V * cost row vc[k], takes the first maximum of the score
+    sma_pad[i[k]] @ u[k] - vc[k] (padded actions score -inf) and writes
+    max(u - services, 0) + arrivals into ``out`` (which may be ``u``); it
+    returns the chosen actions.  The scores are one stacked matmul, which
+    gives each run the bits of _finite_argmin's gemv, and the gathers use
+    ``take`` (on the (S A, r) flattening for the chosen actions' rows),
+    which copies the same values as fancy indexing with less dispatch.
+    """
+    S, A, r = tab.arr_pad.shape
+    sma, zero = tab.sma_pad, np.zeros(())
+    arr, svc = tab.arr_pad.reshape(S * A, r), tab.svc_pad.reshape(S * A, r)
+
+    def step(i, vc, u, out):
+        sc = np.matmul(sma.take(i, axis=0), u[:, :, None])[:, :, 0]
+        sc -= vc
+        k = sc.argmax(axis=1)
+        f = i * A + k  # row of (state, chosen action)
+        np.subtract(u, svc.take(f, axis=0), out=out)
+        np.maximum(out, zero, out=out)
+        out += arr.take(f, axis=0)
+        return k
+
+    return step
 
 
 @dataclass
 class _Run:
-    """What one _loop pass returns.
+    """What _loop returns for one run.
 
     The mean cost, the arrival and drop sums, the sandwich count, the
     deviations and the means ``avg_u``/``avg_w`` cover the slots from the
@@ -373,116 +414,145 @@ class _Run:
     W: "np.ndarray | None" = None
 
 
-def _loop(spec, V, rng, slots, w0, burn, wl=None, ref=None, paths=False, check=False):
-    """Greedy run of ``slots`` slots from W(0) = w0, states drawn from ``rng``.
+def _loop(spec, V, rngs, slots, w0, burn, wl=None, ref=None, paths=False, check=False):
+    """R greedy runs of ``slots`` slots; returns one _Run per run.
 
-    The mean cost, the arrival and drop sums, the means and the deviations
-    cover the slots from ``burn`` on.  With placeholders ``wl``, U starts
-    empty and admits max(a - max(wl - W, 0), 0) of each arrival a, and
-    ``bad`` counts the rows x queues of U outside the sandwich around W.
-    Without them U is W (the same array), nothing is dropped and nothing
-    is counted: the drop sum is zero and ``bad`` None.  The deviations are
-    the Euclidean and max-coordinate distances of W(t) from the reference
-    point ``ref``, None without one.
+    Run k has V[k], starts from W(0) = w0[k] ((R, r)) and draws its states
+    from rngs[k].  The mean cost, the arrival and drop sums, the means and
+    the deviations cover the slots from ``burn`` on.  With placeholders
+    ``wl`` ((R, r)), U starts empty and admits max(a - max(wl - W, 0), 0)
+    of each arrival a, and ``bad`` counts the rows x queues of U outside
+    the sandwich around W.  Without them U is W (the same array), nothing
+    is dropped and nothing is counted: the drop sum is zero and ``bad``
+    None.  The deviations are the Euclidean and max-coordinate distances
+    of W(t) from the reference point ``ref`` ((R, r)), None without one.
 
-    Each block of _CHUNK slots draws its states with sample_states, which
-    consumes ``rng`` exactly like one draw of ``slots`` states, runs the
-    decisions and the W queue law slot by slot, then derives the block's
-    costs, admissions, drops, U (see _queue_path), violations, deviations
-    and window sums from the W rows and actions with array operations;
-    _WindowMean turns the sums into numpy's means.  W and U live in
-    (_CHUNK + 1, r) buffers whose row 0 carries the last row of the block
-    before, so a run keeps O(_CHUNK r) of them plus the deviations,
-    whatever its length.  With ``check`` each block goes through
-    _invariant_scan, which raises at its first offending slot.  With
-    ``paths`` each block is also copied out into the trace: the costs,
-    states, actions, drops per slot (None without placeholders) and the
-    (slots + 1, r) U and W paths.
+    Each block of rows = max(1, _CHUNK // R) slots draws every run's states
+    with sample_states, which consumes a generator exactly like one draw of
+    ``slots`` states, runs the decisions and the W queue law slot by slot
+    (see the core-loop comment for the code each R takes), then derives
+    the block's costs, admissions, drops, U (see _queue_path), violations,
+    deviations and window sums from the W rows and actions with array
+    operations; _WindowMean turns the sums into numpy's means.  W and U
+    live in (rows + 1, R, r) buffers whose row 0 carries the last row of
+    the block before, so the runs keep O(_CHUNK r) of them plus the
+    deviations, whatever their length and R.  ``check`` and ``paths`` need
+    R = 1.  With ``check`` each block goes through _invariant_scan, which
+    raises at its first offending slot.  With ``paths`` each block is also
+    copied out into the trace: the costs, states, actions, drops per slot
+    (None without placeholders) and the (slots + 1, r) U and W paths.
     """
-    r = spec.r
-    W = np.empty((_CHUNK + 1, r))  # row j is the start of the block's slot j
+    R, r = len(rngs), spec.r
+    assert R == 1 or not (paths or check), "traces and invariant scans are single-run"
+    rows = max(1, _CHUNK // R)
+    W = np.empty((rows + 1, R, r))  # row j is the start of the block's slot j
     W[0] = w0
-    costs = np.empty(_CHUNK)
-    arr_sum, drop_sum = np.zeros(r), np.zeros(r)
+    costs = np.empty((rows, R))
+    arr_sum, drop_sum = np.zeros((R, r)), np.zeros((R, r))
     window = slots - burn
-    cost_mean, w_mean, u_mean = _WindowMean(window), _WindowMean(window, r), None
+    cost_mean, w_mean, u_mean = _WindowMean(window, R), _WindowMean(window, R, r), None
     if wl is None:
         U, bad = W, None
     else:
         U = np.empty_like(W)
         U[0] = 0.0
-        u_mean = _WindowMean(window, r)
-        bad = int(_sandwich_bad(U[:1], W[:1], wl, spec.delta_max).sum())
+        u_mean = _WindowMean(window, R, r)
+        bad = _sandwich_bad(U[:1], W[:1], wl, spec.delta_max).sum(axis=(0, 2))
     dev = pcd = None
     if ref is not None:
-        dev, pcd = np.empty(window), np.empty(window)
+        dev, pcd = np.empty((R, window)), np.empty((R, window))
     finite = spec.is_finite
     if finite:
         tab = tables(spec)
-        sma, arr, svc = tab.sma, tab.arr_rows, tab.svc_rows
-        vcost = [V * c for c in tab.cost]
-        acts = np.empty(_CHUNK, dtype=np.int64)
+        acts = np.empty((rows, R), dtype=np.int64)
+        if R == 1:
+            sma, arr, svc = tab.sma, tab.arr_rows, tab.svc_rows
+            vcost = [V[0] * c for c in tab.cost]
+        else:
+            step, vcol = _stacked_step(tab), np.array(V, dtype=float)[:, None]
     else:
         fams = [st.actions for st in spec.states]
-        acts = np.empty(_CHUNK)
-        a_buf, mu_buf = np.empty((_CHUNK, r)), np.empty((_CHUNK, r))
+        acts = np.empty((rows, R))
+        a_buf, mu_buf = np.empty((rows, R, r)), np.empty((rows, R, r))
     if paths:  # the trace, into which each finished block is copied
         t_costs, t_acts = np.empty(slots), np.empty(slots, dtype=acts.dtype)
         t_idx, t_W = np.empty(slots, dtype=np.int64), np.empty((slots + 1, r))
         t_U, t_drops = (t_W, None) if wl is None else (np.empty_like(t_W), np.empty(slots))
-        t_W[0], t_U[0] = W[0], U[0]
-    w, zero = W[0], np.zeros(())  # an array zero spares np.maximum a scalar conversion
-    for t0 in range(0, slots, _CHUNK):
-        t1 = min(t0 + _CHUNK, slots)
+        t_W[0], t_U[0] = W[0, 0], U[0, 0]
+    zero = np.zeros(())  # an array zero spares np.maximum a scalar conversion
+    for t0 in range(0, slots, rows):
+        t1 = min(t0 + rows, slots)
         n = t1 - t0
         Wb, Ub, ks, cb = W[:n + 1], U[:n + 1], acts[:n], costs[:n]
-        states = sample_states(spec, rng, n)
+        states = np.stack([sample_states(spec, g, n) for g in rngs], axis=1)
         if finite:
-            k_list = []
-            for row, i in zip(Wb[1:], states.tolist()):
-                k = _finite_argmin(sma[i], vcost[i], w)
-                k_list.append(k)
-                np.subtract(w, svc[i][k], out=row)
-                np.maximum(row, zero, out=row)
-                row += arr[i][k]
-                w = row
-            ks[:] = k_list
+            if R == 1:
+                k_list, w = [], Wb[0, 0]
+                for row, i in zip(Wb[1:, 0], states[:, 0].tolist()):
+                    k = _finite_argmin(sma[i], vcost[i], w)
+                    k_list.append(k)
+                    np.subtract(w, svc[i][k], out=row)
+                    np.maximum(row, zero, out=row)
+                    row += arr[i][k]
+                    w = row
+                ks[:, 0] = k_list
+            else:
+                for t, i in enumerate(states):
+                    vc = tab.cost_pad.take(i, axis=0)
+                    vc *= vcol
+                    ks[t] = step(i, vc, Wb[t], Wb[t + 1])
             cb[:] = tab.cost_pad[states, ks]
             a = tab.arr_pad[states, ks]
             mu = tab.svc_pad[states, ks] if wl is not None else None
         else:
             a, mu = a_buf[:n], mu_buf[:n]
-            for j, (row, i) in enumerate(zip(Wb[1:], states.tolist())):
-                fam = fams[i]
-                x = float(fam.dual_argmin(V, w))
-                ks[j] = x
-                cb[j] = fam.cost(x)
-                aj, muj = fam.arrivals(x), fam.services(x)
-                a[j], mu[j] = aj, muj
-                np.subtract(w, muj, out=row)
-                np.maximum(row, zero, out=row)
-                row += aj
-                w = row
+            if R == 1:
+                V1, w, x1, c1, a1, mu1 = V[0], Wb[0, 0], ks[:, 0], cb[:, 0], a[:, 0], mu[:, 0]
+                for j, (row, i) in enumerate(zip(Wb[1:, 0], states[:, 0].tolist())):
+                    fam = fams[i]
+                    x = float(fam.dual_argmin(V1, w))
+                    x1[j] = x
+                    c1[j] = fam.cost(x)
+                    aj, muj = fam.arrivals(x), fam.services(x)
+                    a1[j], mu1[j] = aj, muj
+                    np.subtract(w, muj, out=row)
+                    np.maximum(row, zero, out=row)
+                    row += aj
+                    w = row
+            else:
+                for t, (i_t, w_t, x_t, c_t, a_t, mu_t) in enumerate(
+                        zip(states.tolist(), Wb, ks, cb, a, mu)):
+                    for k, (i, w) in enumerate(zip(i_t, w_t)):
+                        fam = fams[i]
+                        x = float(fam.dual_argmin(V[k], w))
+                        x_t[k] = x
+                        c_t[k] = fam.cost(x)
+                        a_t[k], mu_t[k] = fam.arrivals(x), fam.services(x)
+                    row = Wb[t + 1]
+                    np.subtract(w_t, mu_t, out=row)
+                    np.maximum(row, zero, out=row)
+                    row += a_t
         lo = max(burn, t0) - t0  # the block's first post burn-in row
         cost_mean.add(cb[lo:])
         if wl is not None:
             admit = np.maximum(a - np.maximum(wl - Wb[:n], 0.0), 0.0)
             dropped = a - admit
             if paths:
-                t_drops[t0:t1] = dropped.sum(axis=1)
+                t_drops[t0:t1] = dropped[:, 0].sum(axis=1)
             drop_sum = _chained_sum(drop_sum, dropped[lo:])
-            _queue_path(Ub, mu, admit)
-            bad += int(_sandwich_bad(Ub[1:], Wb[1:], wl, spec.delta_max).sum())
+            _queue_path(Ub.reshape(n + 1, R * r), mu.reshape(n, R * r), admit.reshape(n, R * r))
+            bad += _sandwich_bad(Ub[1:], Wb[1:], wl, spec.delta_max).sum(axis=(0, 2))
         if check:
-            _invariant_scan(spec, states, Ub, None if wl is None else Wb, wl, t0)
+            _invariant_scan(spec, states[:, 0], Ub[:, 0], None if wl is None else Wb[:, 0],
+                            None if wl is None else wl[0], t0)
         arr_sum = _chained_sum(arr_sum, a[lo:])
         if ref is not None and lo < n:
             diff = Wb[lo:n] - ref
-            dev[t0 + lo - burn:t1 - burn] = np.linalg.norm(diff, axis=1)
-            pcd[t0 + lo - burn:t1 - burn] = np.abs(diff).max(axis=1)
+            dev[:, t0 + lo - burn:t1 - burn] = np.linalg.norm(diff, axis=2).T
+            pcd[:, t0 + lo - burn:t1 - burn] = np.abs(diff).max(axis=2).T
         if paths:
-            t_costs[t0:t1], t_acts[t0:t1], t_idx[t0:t1] = cb, ks, states
-            t_W[t0 + 1:t1 + 1], t_U[t0 + 1:t1 + 1] = Wb[1:], Ub[1:]
+            t_costs[t0:t1], t_acts[t0:t1], t_idx[t0:t1] = cb[:, 0], ks[:, 0], states[:, 0]
+            t_W[t0 + 1:t1 + 1], t_U[t0 + 1:t1 + 1] = Wb[1:, 0], Ub[1:, 0]
         # last, as the means may overwrite the rows they add; row n carries
         # on into the next block
         w_mean.add(Wb[lo:n])
@@ -491,12 +561,13 @@ def _loop(spec, V, rng, slots, w0, burn, wl=None, ref=None, paths=False, check=F
         W[0] = Wb[n]
         if wl is not None:
             U[0] = Ub[n]
-        w = W[0]
-    avg_w = w_mean.mean()
-    out = _Run(cost_mean.mean(), arr_sum, drop_sum, bad, dev, pcd,
-               avg_w if wl is None else u_mean.mean(), avg_w, U[0].copy(), W[0].copy())
+    avg_cost, avg_w = cost_mean.mean(), w_mean.mean()
+    avg_u = avg_w if wl is None else u_mean.mean()
+    out = [_Run(float(avg_cost[k]), arr_sum[k], drop_sum[k], None if bad is None else int(bad[k]),
+                None if dev is None else dev[k], None if pcd is None else pcd[k],
+                avg_u[k], avg_w[k], U[0, k].copy(), W[0, k].copy()) for k in range(R)]
     if paths:
-        out.costs, out.states, out.actions, out.drops, out.U, out.W = (
+        out[0].costs, out[0].states, out[0].actions, out[0].drops, out[0].U, out[0].W = (
             t_costs, t_idx, t_acts, t_drops, t_U, t_W)
     return out
 
@@ -504,37 +575,28 @@ def _loop(spec, V, rng, slots, w0, burn, wl=None, ref=None, paths=False, check=F
 def _virtual_trajectory(spec, V, T, rng, u0=None):
     """Greedy backlog path of length T+1 (used by placeholder estimators)."""
     start = np.zeros(spec.r) if u0 is None else np.asarray(u0, dtype=float)
-    return _loop(spec, V, rng, T, start, 0, paths=True).W
+    return _loop(spec, [V], [rng], T, start[None], 0, paths=True)[0].W
 
 
 def _lockstep_finals(spec, V, T, streams):
     """Final backlogs (R, r) of R greedy runs of T slots from U(0) = 0.
 
     Run k draws its states from ``streams[k]``.  The runs advance together,
-    one slot of all R per step, over the padded tables.  States are drawn
-    in chunks of _CHUNK slots per stream; consecutive draws consume a
-    generator exactly like one draw of T states, and the score and queue
-    update use the same operations as _loop, so row k equals
-    ``_virtual_trajectory(spec, V, T, streams[k])[-1]`` bit for bit.
-    Memory is O(R (r + _CHUNK)) whatever T is.  The gathers use ``take``
-    (on the (S A, r) flattening for the chosen actions' rows), which copies
-    the same values as fancy indexing with less dispatch.
+    one _stacked_step of all R per slot, and keep only their current
+    backlogs.  States are drawn in chunks of _CHUNK slots per stream;
+    consecutive draws consume a generator exactly like one draw of T
+    states, so row k equals ``_virtual_trajectory(spec, V, T,
+    streams[k])[-1]`` bit for bit.  Memory is O(R (r + _CHUNK)) whatever T
+    is.
     """
     tab = tables(spec)
-    S, A, r = tab.arr_pad.shape
-    vcost, sma = V * tab.cost_pad, tab.sma_pad
-    arr, svc = tab.arr_pad.reshape(S * A, r), tab.svc_pad.reshape(S * A, r)
-    u, zero = np.zeros((len(streams), r)), np.zeros(())
+    step, vcost = _stacked_step(tab), V * tab.cost_pad
+    u = np.zeros((len(streams), spec.r))
     for start in range(0, T, _CHUNK):
         n = min(_CHUNK, T - start)
         idx = np.stack([sample_states(spec, g, n) for g in streams], axis=1)
         for i in idx:
-            sc = np.matmul(sma.take(i, axis=0), u[:, :, None])[:, :, 0]
-            sc -= vcost.take(i, axis=0)
-            f = i * A + sc.argmax(axis=1)  # row of (state, chosen action)
-            u -= svc.take(f, axis=0)
-            np.maximum(u, zero, out=u)
-            u += arr.take(f, axis=0)
+            step(i, vcost.take(i, axis=0), u, u)
     return u
 
 
@@ -585,8 +647,22 @@ def default_burn_in(V: float, slots: int) -> int:
     return int(min(100 * V, slots // 10))
 
 
-def run(config: RunConfig) -> SimReport:
-    """Simulate one run and report averages plus the deviation record."""
+@dataclass
+class _Setup:
+    """A validated config with what _loop needs resolved: W(0), the placeholders
+    (None under qla) and the deviation reference (None without one)."""
+
+    config: RunConfig
+    handle: ScenarioHandle
+    slots: int
+    burn_in: int
+    w0: np.ndarray
+    wl: "np.ndarray | None"
+    u_star: "np.ndarray | None"
+
+
+def _setup(config: RunConfig) -> _Setup:
+    """Check a config and resolve it; raises what run() raises for a bad config."""
     handle = as_handle(config.scenario)
     spec = handle.spec
     if config.algorithm not in ALGORITHMS:
@@ -607,18 +683,17 @@ def run(config: RunConfig) -> SimReport:
         burn_in = default_burn_in(config.V, slots)
     if not (0 <= burn_in < slots):
         raise ValueError(f"burn_in must lie in [0, slots), got {burn_in}")
-
-    is_fqla = config.algorithm != "qla"
     u_star = _resolve_u_star(handle, config)
-    wl = _resolve_placeholders(handle, config) if is_fqla else None
-    lp = _loop(spec, config.V, substream(config.seed, config.stream), slots,
-               wl if is_fqla else u0, burn_in, wl, u_star,
-               paths=config.record_trace, check=config.check_invariants)
+    wl = _resolve_placeholders(handle, config) if config.algorithm != "qla" else None
+    return _Setup(config, handle, slots, burn_in, u0 if wl is None else wl, wl, u_star)
 
+
+def _report(s: _Setup, lp: _Run) -> SimReport:
+    config, handle = s.config, s.handle
     # Drop accounting matches the averages: both sides of the fraction
     # count post burn-in slots only, so the startup climb from W(0) to
     # the steady band does not leak into a long-run statistic.
-    exo = handle.exogenous if handle.exogenous is not None else tuple(range(spec.r))
+    exo = handle.exogenous if handle.exogenous is not None else tuple(range(handle.spec.r))
     offered = float(lp.arr_sum[list(exo)].sum())
     drops_total = float(lp.drop_sum.sum())
     drop_fraction = drops_total / offered if offered > 0 else 0.0
@@ -629,8 +704,8 @@ def run(config: RunConfig) -> SimReport:
         V=config.V,
         seed=config.seed,
         stream=config.stream,
-        slots=slots,
-        burn_in=burn_in,
+        slots=s.slots,
+        burn_in=s.burn_in,
         avg_cost=lp.avg_cost,
         avg_backlog=lp.avg_u,
         avg_backlog_total=float(lp.avg_u.sum()),
@@ -639,15 +714,15 @@ def run(config: RunConfig) -> SimReport:
         drop_fraction=drop_fraction,
         offered=offered,
     )
-    if is_fqla:
+    if s.wl is not None:
         report.avg_virtual_backlog = lp.avg_w
         report.avg_virtual_backlog_total = float(lp.avg_w.sum())
         report.final_virtual = lp.final_w
-        report.placeholders = wl
+        report.placeholders = s.wl
         report.sandwich_violations = lp.bad
 
-    if u_star is not None:  # attraction acts on the virtual backlog (U under qla)
-        report.deviation_reference = u_star
+    if s.u_star is not None:  # attraction acts on the virtual backlog (U under qla)
+        report.deviation_reference = s.u_star
         report.deviations = lp.dev
         report.per_coord_deviations = lp.pcd
 
@@ -656,11 +731,59 @@ def run(config: RunConfig) -> SimReport:
             states=lp.states,
             actions=lp.actions,
             costs=lp.costs,
-            u=lp.U[:slots],
-            w=lp.W[:slots] if is_fqla else None,
+            u=lp.U[:s.slots],
+            w=lp.W[:s.slots] if s.wl is not None else None,
             dropped=lp.drops,
         )
     return report
+
+
+def _stacked(arrays):
+    return None if arrays[0] is None else np.array(arrays)
+
+
+def run(config: RunConfig) -> SimReport:
+    """Simulate one run and report averages plus the deviation record."""
+    s = _setup(config)
+    lp = _loop(s.handle.spec, [config.V], [substream(config.seed, config.stream)], s.slots,
+               s.w0[None], s.burn_in, _stacked([s.wl]), _stacked([s.u_star]),
+               paths=config.record_trace, check=config.check_invariants)[0]
+    return _report(s, lp)
+
+
+def run_many(configs: Sequence[RunConfig]) -> list[SimReport]:
+    """Simulate many runs, batched; one report per config, in order.
+
+    Configs that share the spec, the algorithm kind (with placeholders or
+    not), the slots and the burn-in advance together in one _loop call.
+    Every report equals run()'s for its config field for field, except that
+    the per-slot series ``deviations``, ``per_coord_deviations`` and
+    ``trace`` are None, so the memory of R runs does not grow with their
+    length.  Configs asking for ``record_trace`` or ``check_invariants``
+    are rejected with a ValueError; a bad config raises what run() raises.
+    """
+    for c in configs:
+        if c.record_trace or c.check_invariants:
+            raise ValueError("run_many keeps no trace and checks no invariants; "
+                             "use run() for record_trace or check_invariants")
+    return _run_batched([_setup(c) for c in configs])
+
+
+def _run_batched(setups: Sequence[_Setup]) -> list[SimReport]:
+    """run_many's kernel calls, on configs _setup has already checked."""
+    groups: dict[tuple, list[int]] = {}
+    for j, s in enumerate(setups):
+        key = (s.handle.spec, s.wl is None, s.slots, s.burn_in)
+        groups.setdefault(key, []).append(j)
+    reports: list = [None] * len(setups)
+    for (spec, _, slots, burn_in), js in groups.items():
+        batch = [setups[j] for j in js]
+        runs = _loop(spec, [s.config.V for s in batch],
+                     [substream(s.config.seed, s.config.stream) for s in batch], slots,
+                     np.array([s.w0 for s in batch]), burn_in, _stacked([s.wl for s in batch]))
+        for j, s, lp in zip(js, batch, runs):
+            reports[j] = _report(s, lp)
+    return reports
 
 
 def _sandwich_bad(U, W, wl, delta_max):

@@ -217,6 +217,32 @@ def single_queue_trace(tmp_path_factory):
     return path
 
 
+@pytest.mark.parametrize("trace", ["fqla_trace", "single_queue_trace"])
+def test_read_trace_parses_every_field_bit_for_bit(trace, request):
+    """The column-wise parse equals int()/float() of every field, with W
+    columns (FQLA) and with empty ones (QLA)."""
+    from lyapnet.cli import _read_trace
+
+    path = request.getfixturevalue(trace)
+    lines = _lines(path)
+    header, rows = lines[0].split(","), [line.split(",") for line in lines[1:]]
+    u_cols = [j for j, c in enumerate(header) if c.startswith("U_")]
+    w_cols = [j for j, c in enumerate(header) if c.startswith("W_")]
+    want_states = np.array([int(row[1]) for row in rows])
+    want_costs = np.array([float(row[2]) for row in rows])
+    want_u = np.array([[float(row[j]) for j in u_cols] for row in rows])
+    states, costs, u, w = _read_trace(str(path))
+    for got, want in ((states, want_states), (costs, want_costs), (u, want_u)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    if trace == "fqla_trace":
+        want_w = np.array([[float(row[j]) for j in w_cols] for row in rows])
+        assert w.dtype == want_w.dtype and w.shape == want_w.shape
+        assert w.tobytes() == want_w.tobytes()
+    else:
+        assert rows[0][w_cols[0]] == "" and w is None
+
+
 def test_analyze_tail_curve_fit_and_plot(fqla_trace, tmp_path, capsys):
     curve_csv = tmp_path / "curve.csv"
     plot = tmp_path / "tail.svg"
@@ -416,6 +442,26 @@ def test_sweep_rejects_nonpositive_jobs(tmp_path, capsys, jobs):
     assert code == 2
     assert "--jobs" in capsys.readouterr().err
     assert not report.exists()
+
+
+def test_sweep_failing_cell_fails_alone(tmp_path, capsys):
+    """A bad V among good ones: the good rows are written, each bad cell is
+    reported, the exit code is 1, and one or two jobs write the same bytes."""
+    files = {}
+    for jobs in ("1", "2"):
+        report, svg = tmp_path / f"r{jobs}.csv", tmp_path / f"b{jobs}.svg"
+        code = main(["sweep", "--scenario", "two-queue", "--V-list", "20,-5", "--seeds", "0,1",
+                     "--slots", "600", "--jobs", jobs, "--report", str(report),
+                     "--plot-backlog", str(svg)])
+        captured = capsys.readouterr()
+        assert code == 1
+        failed = [line for line in captured.err.splitlines() if "sweep cell failed" in line]
+        assert len(failed) == 2 and all("V=-5" in line for line in failed)
+        assert "wrote 2 rows" in captured.out
+        files[jobs] = (report.read_bytes(), svg.read_bytes())
+    lines = files["1"][0].decode().splitlines()
+    assert [line.split(",")[2:4] for line in lines[1:]] == [["20", "0"], ["20", "1"]]
+    assert files["1"] == files["2"]
 
 
 def test_sweep_reports_failed_cells(tmp_path, capsys):

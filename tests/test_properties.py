@@ -172,7 +172,9 @@ def same_bits(got, want):
 
 
 def assert_raw_bits_equal(spec, V, seed, slots, burn, w0, wl, ref, paths):
-    got = sim._loop(spec, V, substream(seed), slots, w0, burn, wl, ref, paths=paths)
+    [got] = sim._loop(spec, [V], [substream(seed)], slots, w0[None], burn,
+                      None if wl is None else wl[None], None if ref is None else ref[None],
+                      paths=paths)
     idx = sample_states(spec, substream(seed), slots)
     U, W, costs, acts, drops_t, arr_sum, drop_sum = reference_loop(spec, V, idx, w0, burn, wl)
     # the statistics run() used to derive from the full per-slot series;
@@ -231,21 +233,24 @@ MEAN_DATA = {"integer": lambda z: np.rint(8.0 * z), "normal": lambda z: z,
 
 
 @settings(max_examples=150, deadline=None)
-@given(n=MEAN_SIZES, r=st.sampled_from([None, 1, 2, 3, 5]),
+@given(n=MEAN_SIZES, R=st.integers(1, 4), r=st.sampled_from([None, 1, 2, 3, 5]),
        kind=st.sampled_from(sorted(MEAN_DATA)), offset=st.integers(0, 3),
        seed=st.integers(0, 2**32 - 1), data=st.data())
-def test_window_mean_matches_numpy_mean(n, r, kind, offset, seed, data):
-    """Blocks fed to _WindowMean give X.mean(axis=0) bit for bit, wherever the blocks split."""
-    shape = (n + offset,) if r is None else (n + offset, r)
+def test_window_mean_matches_numpy_mean(n, R, r, kind, offset, seed, data):
+    """Blocks of R runs fed to _WindowMean give each run's X.mean(axis=0) bit
+    for bit, wherever the blocks split; X is the run's own contiguous series."""
+    shape = (n + offset, R) if r is None else (n + offset, R, r)
     x = MEAN_DATA[kind](np.random.default_rng(seed).standard_normal(shape))[offset:]
-    want = x.mean(axis=0)  # before feeding, as add may overwrite its rows
+    # before feeding, as add may overwrite its rows
+    want = [np.ascontiguousarray(x[:, k]).mean(axis=0) for k in range(R)]
     cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=12)))
-    got = sim._WindowMean(n, r)
+    got = sim._WindowMean(n, R, r)
     for a, b in zip([0] + cuts, cuts + [n]):
         got.add(x[a:b])
     mean = got.mean()
-    assert type(mean) is (float if r is None else np.ndarray)
-    assert same_bits(mean, want)
+    assert mean.shape == (R,) + (() if r is None else (r,))
+    for k in range(R):
+        assert same_bits(mean[k], want[k])
 
 
 TRACE_SLOTS = [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 1]
@@ -298,6 +303,57 @@ def test_continuous_trace_on_and_off_report_the_same_bits(V, slots, seed, with_p
                   placeholders=np.array([data.draw(st.floats(0.0, 3.0 * V))]))
     assert_trace_changes_no_report_bits(scenarios.by_name("single-queue-continuous"), V, slots,
                                         seed, data.draw(trace_burn_ins(slots)), kw)
+
+
+SERIES = ("deviations", "per_coord_deviations", "trace")
+
+
+def assert_same_scalars(got, want):
+    """Every field of run_many's report but the per-slot series, which it leaves None."""
+    for f in dataclasses.fields(sim.SimReport):
+        g, e = getattr(got, f.name), getattr(want, f.name)
+        if f.name in SERIES:
+            assert g is None, f.name
+        elif e is None or isinstance(e, (str, int)):
+            assert type(g) is type(e) and g == e, f.name
+        elif isinstance(e, float):
+            assert type(g) is float and g.hex() == e.hex(), f.name
+        else:
+            assert same_bits(g, e), f.name
+
+
+BATCH_SCENARIOS = {"two-queue": scenarios.by_name("two-queue"),
+                   "single-queue-continuous": scenarios.by_name("single-queue-continuous")}
+
+
+@settings(max_examples=40, deadline=None)
+@given(which=st.sampled_from(["two-queue", "ragged", "single-queue-continuous"]),
+       R=st.integers(1, 8), data=st.data())
+def test_run_many_reports_the_bits_of_run(which, R, data):
+    """run_many of R configs, mixing V, seeds, streams and both algorithm
+    kinds (one kernel call per kind), over slots that cross several block
+    edges and end inside a block: each report has run()'s bits."""
+    handle = BATCH_SCENARIOS.get(which) or data.draw(finite_specs(max_r=3))
+    spec = scenarios.as_handle(handle).spec
+    rows = sim._CHUNK // R
+    slots = data.draw(st.integers(2, 4)) * rows + data.draw(st.integers(1, rows - 1))
+    burn = data.draw(st.integers(0, slots - 1))
+    levels = st.lists(st.floats(0.0, 50.0), min_size=spec.r, max_size=spec.r).map(np.array)
+    configs = []
+    for _ in range(R):
+        kw = dict(scenario=handle, V=data.draw(st.floats(0.5, 200.0)), slots=slots,
+                  burn_in=burn, seed=data.draw(st.integers(0, 2**32 - 1)),
+                  stream=data.draw(st.integers(0, 3)),
+                  algorithm=data.draw(st.sampled_from(["qla", "fqla-ideal"])))
+        if which == "ragged":  # no U*_V registered: explicit levels and reference
+            kw["deviation_reference"] = data.draw(levels)
+            if kw["algorithm"] == "fqla-ideal":
+                kw["placeholders"] = data.draw(levels)
+            else:
+                kw["initial_backlog"] = data.draw(levels)
+        configs.append(sim.RunConfig(**kw))
+    for got, cfg in zip(sim.run_many(configs), configs):
+        assert_same_scalars(got, sim.run(cfg))
 
 
 def reference_queue_path(path, mu, x):

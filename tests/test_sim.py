@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import tracemalloc
@@ -88,6 +89,49 @@ def test_run_memory_grows_only_by_the_kept_series(name, check):
                                     slots=slots, seed=3, check_invariants=check))
              for slots in (20_000, 40_000)]
     assert (peaks[1] - peaks[0]) / 20_000 <= 20.0
+
+
+def _traced_peak_many(configs):
+    """tracemalloc peak of one run_many call, after a short warm-up call and a full collection."""
+    sim.run_many([dataclasses.replace(c, slots=1_000) for c in configs])
+    gc.collect()
+    tracemalloc.start()
+    try:
+        sim.run_many(configs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_run_many_memory_does_not_grow_with_run_length(contq):
+    """run_many keeps no per-slot series: 8 runs of 40k slots peak where 8
+    runs of 20k do, within 1 byte per extra slot (their deviation arrays
+    alone would add 8 x 16)."""
+    peaks = [_traced_peak_many([RunConfig(scenario=contq, V=V, algorithm="fqla-ideal",
+                                          slots=slots, seed=seed)
+                                for V in (100.0, 400.0, 1000.0, 2000.0) for seed in (3, 4)])
+             for slots in (20_000, 40_000)]
+    assert (peaks[1] - peaks[0]) / 20_000 <= 1.0
+
+
+@pytest.mark.parametrize("kw", [{"record_trace": True}, {"check_invariants": True}])
+def test_run_many_rejects_per_slot_requests(five, kw):
+    with pytest.raises(ValueError, match="use run"):
+        sim.run_many([RunConfig(scenario=five, V=50.0, slots=100),
+                      RunConfig(scenario=five, V=50.0, slots=100, **kw)])
+
+
+def test_run_many_keeps_config_order_across_groups(five, two):
+    configs = [RunConfig(scenario=five, V=50.0, slots=600, seed=1),
+               RunConfig(scenario=two, V=20.0, slots=600, seed=2, algorithm="fqla-ideal"),
+               RunConfig(scenario=five, V=30.0, slots=700, seed=3),
+               RunConfig(scenario=five, V=40.0, slots=600, seed=4, algorithm="fqla-ideal")]
+    for got, cfg in zip(sim.run_many(configs), configs):
+        want = run(cfg)
+        assert (got.scenario, got.algorithm, got.V, got.seed, got.slots) == (
+            want.scenario, want.algorithm, want.V, want.seed, want.slots)
+        assert got.deviations is None and want.deviations is not None
+        _report_equal(got, dataclasses.replace(want, deviations=None))
 
 
 # -- config handling ---------------------------------------------------------

@@ -9,7 +9,8 @@ in BENCHMARK.json and every seed runs ``perfbench/run.py --workload W
 turns at running first.  N is BENCHMARK.json's ``run_seconds``.  The last
 line each run prints goes into ``BENCH_main-<base sha>.json`` and
 ``BENCH_<label>.json`` at the repository root, and a table of medians,
-parent quartiles and pair wins per workload and metric is printed.  The
+parent quartiles, pair wins and a verdict (gain, worse, unresolved or
+within bound; see ``verdict``) per workload and metric is printed.  The
 exported trees are deleted afterwards, also when a run fails.
 """
 
@@ -85,8 +86,32 @@ def quartiles(xs: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def verdict(base: list[float], head: list[float], better: str, bound: float) -> str:
+    """Judge paired runs of one metric against BENCHMARK.json's ``better`` and ``bound``.
+
+    ``gain``: the change is better in at least 9/10 of the pairs and its
+    median differs from the parent's by more than the parent's
+    interquartile spread.  ``worse``: the change's median is worse than the
+    parent's by more than ``bound`` (a fraction of the parent's median).
+    ``unresolved``: the parent's spread is wider than ``bound`` and not
+    every change run beats every parent run.  ``within bound``: the rest.
+    """
+    sign = 1.0 if better == "higher" else -1.0
+    q1, med_b, q3 = quartiles(base)
+    gain = sign * (statistics.median(head) - med_b)
+    wins = sum(sign * (y - x) > 0 for x, y in zip(base, head))
+    if wins >= 0.9 * len(base) and gain > q3 - q1:
+        return "gain"
+    if gain < -bound * abs(med_b):
+        return "worse"
+    if q3 - q1 > bound * abs(med_b) and not all(sign * (y - x) > 0 for x in base for y in head):
+        return "unresolved"
+    return "within bound"
+
+
 def summarize(base_runs: list[dict], head_runs: list[dict], metrics: list[dict]) -> list[str]:
-    """One line per workload and metric: medians, parent quartiles, change wins per pair."""
+    """One line per workload and metric: medians, parent quartiles, change
+    wins per pair and the verdict."""
     lines = []
     workloads = list(dict.fromkeys(r["workload"] for r in base_runs))
     for w in workloads:
@@ -103,7 +128,8 @@ def summarize(base_runs: list[dict], head_runs: list[dict], metrics: list[dict])
             wins = sum(sign * (y - x) > 0 for x, y in zip(b, h))
             lines.append(f"  {name:<12} parent {med_b:.6g} (quartiles {q1:.6g}-{q3:.6g}) "
                          f"change {med_h:.6g} ({(med_h - med_b) / med_b:+.1%}), "
-                         f"change better in {wins}/{len(pairs)} pairs")
+                         f"change better in {wins}/{len(pairs)} pairs: "
+                         f"{verdict(b, h, m['better'], m['bound'])}")
     return lines
 
 
