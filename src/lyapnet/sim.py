@@ -77,8 +77,9 @@ class RunConfig:
     """One simulation run.
 
     ``burn_in`` defaults to default_burn_in(V, slots).  ``stream`` selects
-    the substream for this run under the shared seed; sweeps give each
-    cell its own stream.  ``placeholders`` overrides the placeholder rule
+    the substream for this run under the shared seed; a sweep passes its
+    one --stream to every cell, so the cells of one seed draw the same
+    states at every V.  ``placeholders`` overrides the placeholder rule
     for delay-reduced algorithms; ``deviation_reference`` overrides the
     registered U*_V.  ``check_invariants`` turns on the per-slot contract
     scans (nonnegativity, change bound, sandwich), run on each block of
@@ -216,8 +217,9 @@ class AbsorptionReport:
 #    the W queue law, written in place into the preallocated row W[t+1];
 #    the block's actions are stored once at its end.  The code depends on R:
 #    - R = 1: the dual._finite_argmin score shared with the one-shot API,
-#      or the family's dual_argmin, on (r,) rows (at R = 1 a batched step
-#      was about 30% slower for continuous families and 2x for tables);
+#      or the family's dual_argmin, on (r,) rows (at R = 1 the batched
+#      steps below ran 1.35x to 2x slower on single-queue-continuous and
+#      2.4x to 4x slower on the five-queue chain);
 #    - R > 1, finite tables: _stacked_step, one take/matmul/argmax over
 #      the padded tables for all R runs, which _lockstep_finals also uses;
 #    - R > 1, continuous families: each run's dual_argmin, cost, arrivals
