@@ -221,9 +221,16 @@ class AbsorptionReport:
 #      steps below ran 1.35x to 2x slower on single-queue-continuous and
 #      2.4x to 4x slower on the five-queue chain);
 #    - R > 1, finite tables: _stacked_step, one take/matmul/argmax over
-#      the padded tables for all R runs, which _lockstep_finals also uses;
+#      the padded tables for all R runs, which _lockstep_finals also uses.
+#      It only pays from _STACKED_MIN_R runs (10k-20k slot groups of
+#      two-queue and the five-queue chain, best of 7: 0.63x-0.76x the speed
+#      of R single-run calls at R = 2, 0.91x-1.27x at R = 3, 1.07x-1.39x at
+#      R = 4, 2.1x-2.6x at R = 8), so _run_batched gives a smaller finite
+#      group one R = 1 call per run;
 #    - R > 1, continuous families: each run's dual_argmin, cost, arrivals
-#      and services, then one vectorized W law per slot;
+#      and services, then one vectorized W law per slot (already 1.04x-1.32x
+#      the speed of two single-run calls at R = 2 on single-queue-continuous,
+#      1.75x-1.83x at R = 8);
 # 2. per block, vectorized over slots and runs: costs, arrivals and
 #    services gathered from the padded tables (recorded in phase 1 for
 #    continuous families), admissions, drops, U by one cumsum over the
@@ -245,6 +252,7 @@ class AbsorptionReport:
 # and keeps only their current backlogs; the placeholder warmups use it.
 
 _CHUNK = 256  # run-slots per block: bookkeeping in _loop, state draws in _lockstep_finals
+_STACKED_MIN_R = 4  # fewest finite runs that _run_batched puts through one _loop call
 
 
 def _queue_path(path, mu, x):
@@ -757,7 +765,8 @@ def run_many(configs: Sequence[RunConfig]) -> list[SimReport]:
     """Simulate many runs, batched; one report per config, in order.
 
     Configs that share the spec, the algorithm kind (with placeholders or
-    not), the slots and the burn-in advance together in one _loop call.
+    not), the slots and the burn-in advance together in one _loop call
+    (on finite tables, from _STACKED_MIN_R configs on).
     Every report equals run()'s for its config field for field, except that
     the per-slot series ``deviations``, ``per_coord_deviations`` and
     ``trace`` are None, so the memory of R runs does not grow with their
@@ -772,13 +781,24 @@ def run_many(configs: Sequence[RunConfig]) -> list[SimReport]:
 
 
 def _run_batched(setups: Sequence[_Setup]) -> list[SimReport]:
-    """run_many's kernel calls, on configs _setup has already checked."""
+    """run_many's kernel calls, on configs _setup has already checked.
+
+    A finite group of fewer than _STACKED_MIN_R configs runs one R = 1
+    call per config, where _stacked_step would be slower (core-loop
+    comment).
+    """
     groups: dict[tuple, list[int]] = {}
     for j, s in enumerate(setups):
         key = (s.handle.spec, s.wl is None, s.slots, s.burn_in)
         groups.setdefault(key, []).append(j)
-    reports: list = [None] * len(setups)
+    calls = []
     for (spec, _, slots, burn_in), js in groups.items():
+        if spec.is_finite and len(js) < _STACKED_MIN_R:
+            calls += [(spec, slots, burn_in, [j]) for j in js]
+        else:
+            calls.append((spec, slots, burn_in, js))
+    reports: list = [None] * len(setups)
+    for spec, slots, burn_in, js in calls:
         batch = [setups[j] for j in js]
         runs = _loop(spec, [s.config.V for s in batch],
                      [substream(s.config.seed, s.config.stream) for s in batch], slots,

@@ -17,7 +17,8 @@ PARENT = [100.0, 102.0, 98.0, 101.0, 99.0, 100.5, 99.5, 103.0, 97.0, 100.0]
 
 def runs(workload, slots_per_s, peak_mb, failed=0):
     return [{"workload": workload,
-             "result": {"failed": failed, "metrics": {"slots_per_s": {"value": s},
+             "result": {"attempted": 100, "failed": failed,
+                        "metrics": {"slots_per_s": {"value": s},
                                                       "peak_mb": {"value": p}}}}
             for s, p in zip(slots_per_s, peak_mb)]
 
@@ -48,10 +49,10 @@ def test_wide_parent_spread_is_unresolved_unless_every_run_wins():
 
 def test_summarize_prints_a_verdict_per_workload_and_metric():
     base = runs("headline", PARENT, [0.5] * 10) + runs("learn", PARENT, [0.2] * 10)
-    head = (runs("headline", [v * 1.4 for v in PARENT], [0.45] * 10, failed=1)
-            + runs("learn", PARENT, [0.2] * 10))
+    head = runs("headline", [v * 1.4 for v in PARENT], [0.45] * 10) + runs("learn", PARENT,
+                                                                            [0.2] * 10)
     lines = bench_pairs.summarize(base, head, METRICS)
-    assert lines[0] == "headline: 10 pairs, failed parent/change 0/10"
+    assert lines[0] == "headline: 10 pairs, failed parent/change 0/0"
     assert lines[1].startswith("  slots_per_s") and lines[1].endswith(
         "change better in 10/10 pairs: gain")
     assert lines[2].startswith("  peak_mb") and lines[2].endswith(
@@ -59,3 +60,16 @@ def test_summarize_prints_a_verdict_per_workload_and_metric():
     assert lines[3] == "learn: 10 pairs, failed parent/change 0/0"
     assert lines[4].endswith("change better in 0/10 pairs: within bound")
     assert lines[5].endswith("change better in 0/10 pairs: within bound")
+
+
+def test_summarize_gives_no_gain_to_a_change_that_fails_more_operations():
+    base = runs("headline", PARENT, [0.5] * 10, failed=1)
+    head = runs("headline", [v * 1.4 for v in PARENT], [0.45] * 10, failed=2)
+    lines = bench_pairs.summarize(base, head, METRICS)
+    assert lines[0] == "headline: 10 pairs, failed parent/change 10/20"
+    assert lines[1].endswith("change better in 10/10 pairs: more failures")
+    assert lines[2].endswith("change better in 10/10 pairs: more failures")
+    # the same share of failed operations leaves the verdicts alone
+    lines = bench_pairs.summarize(base, runs("headline", [v * 1.4 for v in PARENT],
+                                             [0.45] * 10, failed=1), METRICS)
+    assert lines[1].endswith(": gain") and lines[2].endswith(": gain")

@@ -86,16 +86,21 @@ def quartiles(xs: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def verdict(base: list[float], head: list[float], better: str, bound: float) -> str:
+def verdict(base: list[float], head: list[float], better: str, bound: float,
+            more_failed: bool = False) -> str:
     """Judge paired runs of one metric against BENCHMARK.json's ``better`` and ``bound``.
 
-    ``gain``: the change is better in at least 9/10 of the pairs and its
-    median differs from the parent's by more than the parent's
+    ``more failures``: the change failed a larger share of its operations
+    than the parent (``more_failed``), so none of its metrics counts as a
+    gain.  ``gain``: the change is better in at least 9/10 of the pairs and
+    its median differs from the parent's by more than the parent's
     interquartile spread.  ``worse``: the change's median is worse than the
     parent's by more than ``bound`` (a fraction of the parent's median).
     ``unresolved``: the parent's spread is wider than ``bound`` and not
     every change run beats every parent run.  ``within bound``: the rest.
     """
+    if more_failed:
+        return "more failures"
     sign = 1.0 if better == "higher" else -1.0
     q1, med_b, q3 = quartiles(base)
     gain = sign * (statistics.median(head) - med_b)
@@ -118,6 +123,8 @@ def summarize(base_runs: list[dict], head_runs: list[dict], metrics: list[dict])
         pairs = [(b["result"], h["result"]) for b, h in zip(base_runs, head_runs)
                  if b["workload"] == w]
         failed = (sum(b["failed"] for b, _ in pairs), sum(h["failed"] for _, h in pairs))
+        attempted = (sum(b["attempted"] for b, _ in pairs), sum(h["attempted"] for _, h in pairs))
+        more_failed = failed[1] * attempted[0] > failed[0] * attempted[1]  # shares, no division
         lines.append(f"{w}: {len(pairs)} pairs, failed parent/change {failed[0]}/{failed[1]}")
         for m in metrics:
             name, sign = m["name"], 1.0 if m["better"] == "higher" else -1.0
@@ -129,7 +136,7 @@ def summarize(base_runs: list[dict], head_runs: list[dict], metrics: list[dict])
             lines.append(f"  {name:<12} parent {med_b:.6g} (quartiles {q1:.6g}-{q3:.6g}) "
                          f"change {med_h:.6g} ({(med_h - med_b) / med_b:+.1%}), "
                          f"change better in {wins}/{len(pairs)} pairs: "
-                         f"{verdict(b, h, m['better'], m['bound'])}")
+                         f"{verdict(b, h, m['better'], m['bound'], more_failed)}")
     return lines
 
 
