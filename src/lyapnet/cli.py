@@ -186,26 +186,21 @@ def cmd_sweep(args) -> int:
         print(f"wrote {len(reports)} rows to {args.report}")
 
     caption = f"{handle.name} {args.alg} seeds={args.seeds}"
-    if args.plot_backlog and reports:
+    plots = [(args.plot_backlog, "avg_backlog_total", "Average total backlog vs V",
+              "avg total backlog", False),
+             (args.plot_drops, "drop_fraction", "Drop fraction vs V", "drop fraction", True)]
+    for path, field, title, ylabel, log_y in plots:
+        if not (path and reports):
+            continue
         series = []
         for seed in seeds:
-            rows = [(rep.V, rep.avg_backlog_total) for rep in reports if rep.seed == seed]
+            rows = [(rep.V, getattr(rep, field)) for rep in reports if rep.seed == seed]
             if rows:
                 xs, ys = zip(*rows)
                 series.append(Series(f"seed {seed}", np.array(xs), np.array(ys)))
-        write_chart(args.plot_backlog, series, title="Average total backlog vs V",
-                    caption=caption, xlabel="V", ylabel="avg total backlog")
-        print(f"wrote {args.plot_backlog}")
-    if args.plot_drops and reports:
-        series = []
-        for seed in seeds:
-            rows = [(rep.V, rep.drop_fraction) for rep in reports if rep.seed == seed]
-            if rows:
-                xs, ys = zip(*rows)
-                series.append(Series(f"seed {seed}", np.array(xs), np.array(ys)))
-        write_chart(args.plot_drops, series, title="Drop fraction vs V",
-                    caption=caption, xlabel="V", ylabel="drop fraction", log_y=True)
-        print(f"wrote {args.plot_drops}")
+        write_chart(path, series, title=title, caption=caption, xlabel="V", ylabel=ylabel,
+                    log_y=log_y)
+        print(f"wrote {path}")
     return 1 if failures else 0
 
 

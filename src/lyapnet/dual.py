@@ -18,8 +18,10 @@ assumptions (slackness, scaling, subgradient inequality), and computes the
 attraction-theorem constants.
 
 U*_V is found by one exact LP when every state has a finite action table
-(q is then piecewise-linear and concave), and by projected subgradient
-ascent plus golden-section polish for continuous action families.
+(q is then piecewise-linear and concave).  A continuous action family on
+one queue is bisected on the sign of the subgradient, which is
+nonincreasing in u because q is concave; continuous families on r > 1
+queues have no numeric search.
 """
 
 from __future__ import annotations
@@ -262,25 +264,31 @@ def _continuous_state_optimum(spec: NetworkSpec, V: float, state: int,
     # Largest u with arrival rate >= minimizing service rate; the minimizer's
     # rate is nondecreasing in u, so the set is an interval and bisection works.
     a = float(fam.arrivals(fam.dual_argmin(V, np.zeros(1)))[0])
+    return _last_true(
+        lambda u1: float(fam.services(fam.dual_argmin(V, np.array([u1])))[0]) <= a + 1e-12,
+        max(1.0, V))
 
-    def rate(u1: float) -> float:
-        return float(fam.services(fam.dual_argmin(V, np.array([u1])))[0])
 
-    hi = max(1.0, V)
-    for _ in range(200):
-        if rate(hi) > a + 1e-12:
-            break
+def _last_true(pred, hi: float) -> float:
+    """Largest float u >= 0 with pred(u), for pred true on [0, u] and false after it.
+
+    Doubles ``hi`` until pred(hi) fails, then bisects [0, hi] until the ends
+    are adjacent floats and returns the lower one.  Returns +inf when pred
+    still holds past 1e15.
+    """
+    while pred(hi):
         hi *= 2.0
         if hi > 1e15:
             return math.inf
     lo = 0.0
-    for _ in range(200):
+    while True:
         mid = 0.5 * (lo + hi)
-        if rate(mid) <= a + 1e-12:
+        if not lo < mid < hi:
+            return lo
+        if pred(mid):
             lo = mid
         else:
             hi = mid
-    return lo
 
 
 # -- subgradient steps -------------------------------------------------------
@@ -337,47 +345,6 @@ def _probe_local_optimality(spec, V, u_star, q_star, rng, n=100, radius=0.5,
     return not (q > q_star + tol).any()
 
 
-def _golden_polish(spec, V, u, rounds, span, tol):
-    """Coordinate-wise golden-section ascent on q (works on any scenario)."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-
-    def qv(vec):
-        return evaluate_dual(spec, V, vec).value
-
-    u = u.copy()
-    for _ in range(rounds):
-        moved = 0.0
-        for j in range(spec.r):
-            lo = max(u[j] - span, 0.0)
-            hi = u[j] + span
-
-            def qj(z):
-                cand = u.copy()
-                cand[j] = z
-                return qv(cand)
-
-            a, b = lo, hi
-            c = b - invphi * (b - a)
-            d = a + invphi * (b - a)
-            fc, fd = qj(c), qj(d)
-            while b - a > tol:
-                if fc >= fd:
-                    b, d, fd = d, c, fc
-                    c = b - invphi * (b - a)
-                    fc = qj(c)
-                else:
-                    a, c, fc = c, d, fd
-                    d = a + invphi * (b - a)
-                    fd = qj(d)
-            z = 0.5 * (a + b)
-            if qj(z) > qj(u[j]):
-                moved = max(moved, abs(z - u[j]))
-                u[j] = z
-        if moved <= tol:
-            break
-    return u
-
-
 def _finite_lp_maximizer(spec: NetworkSpec, V: float) -> tuple[np.ndarray, int]:
     """Maximize the piecewise-linear dual of a finite-table scenario exactly.
 
@@ -406,23 +373,30 @@ def _finite_lp_maximizer(spec: NetworkSpec, V: float) -> tuple[np.ndarray, int]:
     return np.maximum(res.x[:r], 0.0), int(res.nit)
 
 
-_ASCENT_ITERS = 4000
-_ASCENT_STEP_B = 200.0
+def _continuous_maximizer(spec: NetworkSpec, V: float) -> tuple[np.ndarray, int]:
+    """Bisect a one-queue dual on the sign of its subgradient G.
 
+    q is concave in the scalar u, so G is nonincreasing: the maximizer is
+    0 when G(0) <= 0 and otherwise the last float u with G(u) > 0.  Returns
+    that u and the number of G evaluations.
+    """
+    if spec.r != 1:
+        raise ValueError(
+            f"numeric search on continuous action families needs one queue; "
+            f"{spec.name!r} has r = {spec.r}")
+    calls = 0
 
-def _subgradient_ascent(spec: NetworkSpec, V: float) -> np.ndarray:
-    """Projected subgradient ascent with steps alpha_t = a/(1 + t/b), then polish."""
-    step_a = max(1.0, 0.1 * V)
-    u = np.full(spec.r, float(V))
-    best_u, best_q = u.copy(), evaluate_dual(spec, V, u).value
-    for t in range(_ASCENT_ITERS):
-        alpha = step_a / (1.0 + t / _ASCENT_STEP_B)
-        ev = evaluate_dual(spec, V, u)
-        if ev.value > best_q:
-            best_q, best_u = ev.value, u.copy()
-        u = np.maximum(u + alpha * ev.subgradient, 0.0)
-    span = max(2.0 * spec.B, 0.05 * V, 1.0)
-    return _golden_polish(spec, V, best_u, rounds=8, span=span, tol=1e-10 * max(1.0, V))
+    def ascending(u1: float) -> bool:
+        nonlocal calls
+        calls += 1
+        return evaluate_dual(spec, V, np.array([u1])).subgradient[0] > 0.0
+
+    u = _last_true(ascending, max(1.0, V)) if ascending(0.0) else 0.0
+    if math.isinf(u):
+        raise ConvergenceError(
+            f"dual of {spec.name!r} at V={V} still ascends past u = 1e15: "
+            f"no multiplier stabilizes the queue")
+    return np.array([u]), calls
 
 
 def find_optimal_multiplier(scenario, V: float, method: str = "auto",
@@ -433,12 +407,16 @@ def find_optimal_multiplier(scenario, V: float, method: str = "auto",
     With ``method="auto"`` a registered closed form is returned directly;
     ``method="numeric"`` forces a search.  Finite action tables make the
     dual piecewise-linear, so its maximum is one small LP solved exactly
-    by HiGHS (``iterations`` is the solver's count); an unbounded dual (no
-    multiplier stabilizes the queues) raises :class:`ConvergenceError`.
-    Continuous families get projected subgradient ascent with diminishing
-    steps followed by coordinate-wise golden-section polish.  Either way
-    the result must pass a local-optimality probe of random perturbations;
-    a failed probe raises :class:`ConvergenceError` with the best iterate.
+    by HiGHS (``iterations`` is the solver's count).  Continuous families
+    need a single queue (r = 1, else ``ValueError``): G(u) is then
+    nonincreasing, so U*_V is 0 when G(0) <= 0 and otherwise the last float
+    with G(u) > 0, found by doubling a bracket from max(1, V) and bisecting
+    it down to adjacent floats (``iterations`` counts the G evaluations).
+    An unbounded dual (no multiplier stabilizes the queues; for a
+    continuous family, G still positive past u = 1e15) raises
+    :class:`ConvergenceError` with ``best=None``.  Either way the result
+    must pass a local-optimality probe of random perturbations; a failed
+    probe raises :class:`ConvergenceError` with the result as ``best``.
 
     If the dual maximizer is not unique the returned point is one maximizer
     among possibly many; the probe cannot detect flat optima.
@@ -461,7 +439,7 @@ def find_optimal_multiplier(scenario, V: float, method: str = "auto",
     if spec.is_finite:
         u, iterations = _finite_lp_maximizer(spec, V)
     else:
-        u, iterations = _subgradient_ascent(spec, V), _ASCENT_ITERS
+        u, iterations = _continuous_maximizer(spec, V)
     ev = evaluate_dual(spec, V, u)
     result = MultiplierResult(u, ev.value, "numeric", iterations, True)
     if not _probe_local_optimality(spec, V, u, ev.value, rng, n=probe_directions):

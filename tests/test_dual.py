@@ -19,7 +19,15 @@ from lyapnet.dual import (
     rism_step,
     theorem2_constants,
 )
-from lyapnet.model import ActionRecord, NetworkSpec, StateSpec, queue_update, tables
+from lyapnet.model import (
+    ActionRecord,
+    ContinuousActions,
+    NetworkSpec,
+    StateSpec,
+    queue_update,
+    tables,
+)
+from lyapnet.scenarios import single_queue_continuous
 from lyapnet.sched import qla_decide
 
 
@@ -170,6 +178,40 @@ def test_per_state_optimum_levels(discq):
     assert per_state_optimum(discq.spec, V, 1) == math.inf
 
 
+def _state_optimum_200_steps(fam, V):
+    """The bracket-and-bisect loop per_state_optimum ran before its shared helper."""
+    a = float(fam.arrivals(fam.dual_argmin(V, np.zeros(1)))[0])
+
+    def rate(u1):
+        return float(fam.services(fam.dual_argmin(V, np.array([u1])))[0])
+
+    hi = max(1.0, V)
+    for _ in range(200):
+        if rate(hi) > a + 1e-12:
+            break
+        hi *= 2.0
+        if hi > 1e15:
+            return math.inf
+    lo = 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if rate(mid) <= a + 1e-12:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@pytest.mark.parametrize("mu_max", [0.6, 1.0, 1.5, 2.0, 4.0])
+def test_continuous_state_optimum_keeps_the_200_step_bits(mu_max):
+    spec = single_queue_continuous(mu_max).spec
+    for V in (0.01, 0.5, 1.0, 3.7, 50.0, 100.0, 1e5):
+        for i, st in enumerate(spec.states):
+            want = _state_optimum_200_steps(st.actions, V)
+            got = per_state_optimum(spec, V, i)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (V, i)
+
+
 def test_rism_unit_step_is_greedy_queue_update(five):
     spec = five.spec
     rng = np.random.default_rng(8)
@@ -215,6 +257,30 @@ def test_lp_search_overloaded_queue_raises():
         StateSpec(1.0, [ActionRecord(0.0, [1.0], [0.0]),
                         ActionRecord(1.0, [1.0], [0.5])]),
     ])
+    with pytest.raises(ConvergenceError) as err:
+        find_optimal_multiplier(spec, 10.0, method="numeric")
+    assert err.value.best is None
+
+
+def test_continuous_search_needs_one_queue():
+    fam = ContinuousActions(
+        lo=0.0, hi=1.0, cost=lambda x: x,
+        arrivals=lambda x: np.array([0.5, 0.0]),
+        services=lambda x: np.array([x, x]),
+        dual_argmin=lambda V, u: 1.0 if float(u.sum()) > V else 0.0)
+    spec = NetworkSpec("two-queue-continuous", 2, 1.0, [StateSpec(1.0, fam)])
+    with pytest.raises(ValueError, match="needs one queue"):
+        find_optimal_multiplier(spec, 10.0, method="numeric")
+
+
+def test_continuous_search_overloaded_queue_raises():
+    # one packet arrives every slot but at most half a packet is served
+    fam = ContinuousActions(
+        lo=0.0, hi=0.5, cost=lambda x: x,
+        arrivals=lambda x: np.array([1.0]),
+        services=lambda x: np.array([x]),
+        dual_argmin=lambda V, u: 0.5 if float(u[0]) > V else 0.0)
+    spec = NetworkSpec("overloaded-continuous", 1, 1.0, [StateSpec(1.0, fam)])
     with pytest.raises(ConvergenceError) as err:
         find_optimal_multiplier(spec, 10.0, method="numeric")
     assert err.value.best is None

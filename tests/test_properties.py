@@ -1,4 +1,4 @@
-"""Property-based checks on generated finite-table scenarios."""
+"""Property-based checks on generated scenarios."""
 
 import dataclasses
 import json
@@ -14,6 +14,7 @@ from lyapnet import scenarios, sim  # noqa: E402
 from lyapnet.dual import (  # noqa: E402
     ConvergenceError,
     check_subgradient_inequality,
+    evaluate_dual,
     find_optimal_multiplier,
     rism_step,
 )
@@ -486,3 +487,18 @@ def test_lp_multiplier_meets_subgradient_inequality(spec, V, data):
         hypothesis.assume(False)  # the dual is unbounded: no multiplier stabilizes the queues
     u = np.array(data.draw(st.lists(BACKLOG, min_size=spec.r, max_size=spec.r)))
     assert check_subgradient_inequality(spec, V, u, u_star)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mu_max=st.floats(0.6, 4.0), V=st.floats(0.01, 1e5))
+def test_continuous_search_stops_where_the_subgradient_changes_sign(mu_max, V):
+    """The bisection returns the last float with G > 0, within 1e-14 of V e^(1/2)."""
+    spec = scenarios.single_queue_continuous(mu_max).spec
+    res = find_optimal_multiplier(spec, V, method="numeric", probe_directions=8)
+    u = res.u_star[0]
+
+    def G(x):
+        return evaluate_dual(spec, V, [x]).subgradient[0]
+
+    assert G(u) > 0.0 >= G(np.nextafter(u, np.inf))
+    assert abs(u - V * np.exp(0.5)) <= 1e-14 * V * np.exp(0.5)

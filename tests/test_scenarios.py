@@ -136,7 +136,7 @@ def test_numeric_search_agrees_with_closed_form(name, V):
         np.testing.assert_array_equal(res.u_star, registered)
         assert abs(res.value / V - handle.f_star) <= 1e-12
     else:
-        assert np.abs(res.u_star - registered).max() <= 1e-6 * V
+        assert np.abs(res.u_star - registered).max() <= 1e-14 * V
 
 
 # -- file scenarios ----------------------------------------------------------
