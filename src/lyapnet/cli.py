@@ -308,8 +308,8 @@ def cmd_analyze(args) -> int:
     handle = _load_scenario(args)
     spec = handle.spec
     r = spec.r
-    states, costs, u, w = _read_trace(args.trace)
-    n = len(states)
+    _, _, u, w = _read_trace(args.trace)
+    n = len(u)
     caption = f"{handle.name} V={args.V:g} trace={os.path.basename(args.trace)}"
 
     if args.mode == "tail":
@@ -353,15 +353,7 @@ def cmd_analyze(args) -> int:
     if args.mode == "absorption":
         if r != 1:
             raise UsageError("absorption analysis needs a single-queue trace")
-        rep = simulation.SimReport(
-            scenario=handle.name, algorithm="trace", V=args.V, seed=0, stream=0,
-            slots=n, burn_in=0, avg_cost=float(costs.mean()),
-            avg_backlog=u.mean(axis=0), avg_backlog_total=float(u.mean()),
-            final_backlog=u[-1].copy(), drops=np.zeros(r), drop_fraction=0.0,
-            offered=0.0,
-            trace=simulation.Trace(states=states, actions=np.zeros(n), costs=costs,
-                                   u=u, w=w, dropped=None))
-        ab = simulation.absorption_check(handle, args.V, rep)
+        ab = simulation._path_absorption(handle, args.V, u)
         hi = "inf" if math.isinf(ab.interval[1]) else _fmt(ab.interval[1])
         print(f"interval = [{_fmt(ab.interval[0])}, {hi}]")
         if ab.entered_at is None:

@@ -182,7 +182,7 @@ def _state_argmin(spec: NetworkSpec, V: float, i: int, u: np.ndarray):
         return x, float(fam.cost(x)), fam.arrivals(x), fam.services(x)
     tab = tables(spec)
     k = _finite_argmin(tab.sma[i], V * tab.cost[i], u)
-    return k, float(tab.cost[i][k]), tab.arr[i][k], tab.svc[i][k]
+    return k, float(tab.cost[i][k]), tab.arr_rows[i][k], tab.svc_rows[i][k]
 
 
 def _check_multiplier(u, r: int) -> np.ndarray:
@@ -243,7 +243,7 @@ def per_state_optimum(spec: NetworkSpec, V: float, state: int) -> float:
         return _continuous_state_optimum(spec, V, state, st.actions)
     tab = tables(spec)
     c = V * tab.cost[state]
-    d = (tab.arr[state] - tab.svc[state])[:, 0]
+    d = -tab.sma[state][:, 0]  # arrivals minus services
     if d.min() >= 0.0:
         return math.inf
     zs = {0.0}

@@ -343,18 +343,16 @@ class _Tables:
     """Numpy views of a finite scenario, per state and stacked.
 
     ``sma`` is services minus arrivals, the coefficient of the backlog vector
-    in every per-slot score.  The lists hold one array per state, and
-    ``arr_rows``/``svc_rows`` the same tables as one list of row arrays per
-    state, which a per-slot loop indexes without building a view.  The
-    ``*_pad`` stacks hold the same tables as (S, A, r) / (S, A) arrays padded
-    to the largest action count A, so batched code can gather many states at
-    once.  Padded actions have cost +inf and zero traffic, so no score that
-    subtracts V * cost (V > 0) ever picks them.
+    in every per-slot score.  ``cost`` and ``sma`` hold one array per state,
+    and ``arr_rows``/``svc_rows`` the arrival and service tables as one list
+    of row arrays per state, which a per-slot loop indexes without building
+    a view.  The ``*_pad`` stacks hold the same tables as (S, A, r) / (S, A)
+    arrays padded to the largest action count A, so batched code can gather
+    many states at once.  Padded actions have cost +inf and zero traffic, so
+    no score that subtracts V * cost (V > 0) ever picks them.
     """
 
     cost: list[np.ndarray]
-    arr: list[np.ndarray]
-    svc: list[np.ndarray]
     sma: list[np.ndarray]
     arr_rows: list[list[np.ndarray]]
     svc_rows: list[list[np.ndarray]]
@@ -371,23 +369,21 @@ def tables(spec: NetworkSpec) -> _Tables:
         return cached
     if not spec.is_finite:
         raise ValueError("tables() requires finite action tables")
-    cost, arr, svc, sma = [], [], [], []
+    cost, sma, arr_rows, svc_rows = [], [], [], []
     for st in spec.states:
-        c = np.array([a.cost for a in st.actions])
         A = np.stack([a.arrivals for a in st.actions])
         S = np.stack([a.services for a in st.actions])
-        cost.append(c)
-        arr.append(A)
-        svc.append(S)
+        cost.append(np.array([a.cost for a in st.actions]))
         sma.append(S - A)
+        arr_rows.append(list(A))
+        svc_rows.append(list(S))
     shape = (spec.n_states, max(len(c) for c in cost))
     cost_pad = np.full(shape, np.inf)
     arr_pad, svc_pad = np.zeros(shape + (spec.r,)), np.zeros(shape + (spec.r,))
     for i, c in enumerate(cost):
         cost_pad[i, :len(c)] = c
-        arr_pad[i, :len(c)] = arr[i]
-        svc_pad[i, :len(c)] = svc[i]
-    tab = _Tables(cost, arr, svc, sma, [list(A) for A in arr], [list(S) for S in svc],
-                  cost_pad, arr_pad, svc_pad, svc_pad - arr_pad)
+        arr_pad[i, :len(c)] = arr_rows[i]
+        svc_pad[i, :len(c)] = svc_rows[i]
+    tab = _Tables(cost, sma, arr_rows, svc_rows, cost_pad, arr_pad, svc_pad, svc_pad - arr_pad)
     spec._tables = tab
     return tab

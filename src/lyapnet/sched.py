@@ -145,11 +145,11 @@ def fqla_general_estimate(scenario, V: float, T: "int | None" = None, K: int = 2
     ``run(seed=s, stream=0, algorithm="fqla-general")`` hands over, so the
     warmups never share the states of a run's stream.
 
-    On finite tables the K runs advance in lockstep, one slot of all K per
-    step, and keep only their current backlogs, so memory does not grow
-    with T; each terminal backlog is bit-identical to the one a single
-    run on the same stream reaches.  Continuous families run the K
-    trajectories one after another.
+    The K runs advance together, one slot of all K per step, and keep no
+    paths, so memory does not grow with T; each terminal backlog is
+    bit-identical to the one a single run on the same stream reaches.
+    Finite tables step with the lockstep kernel, continuous families with
+    the batched greedy loop.
     """
     from . import sim
 
@@ -166,7 +166,8 @@ def fqla_general_estimate(scenario, V: float, T: "int | None" = None, K: int = 2
     if spec.is_finite:
         finals = sim._lockstep_finals(spec, V, T, streams)
     else:
-        finals = np.array([sim._virtual_trajectory(spec, V, T, gen)[-1] for gen in streams])
+        runs = sim._loop(spec, [V] * K, streams, T, np.zeros((K, spec.r)), 0)
+        finals = np.array([lp.final_w for lp in runs])
     w_mean = finals.mean(axis=0)
     placeholders = np.maximum(w_mean - math.log(V) ** 2, 0.0)
     return GeneralEstimate(placeholders, w_mean, T, K)
@@ -235,7 +236,7 @@ def bisection_placeholder(scenario, V: float, T1: "int | None" = None,
     if not isinstance(rng, np.random.Generator):
         rng = substream(int(rng), 0, 2)
     for _ in range(max_depth):
-        traj = sim._virtual_trajectory(spec, V, T1, rng.spawn(1)[0], u0=level)
+        traj = sim._loop(spec, [V], rng.spawn(1), T1, level[None], 0, paths=True)[0].W
         slopes = slots_axis @ (traj[:T1] - traj[:T1].mean(axis=0)) / denom
         for j in range(r):
             if converged[j]:

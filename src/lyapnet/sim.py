@@ -80,10 +80,12 @@ class RunConfig:
     the substream for this run under the shared seed; a sweep passes its
     one --stream to every cell, so the cells of one seed draw the same
     states at every V.  ``placeholders`` overrides the placeholder rule
-    for delay-reduced algorithms; ``deviation_reference`` overrides the
-    registered U*_V.  ``check_invariants`` turns on the per-slot contract
-    scans (nonnegativity, change bound, sandwich), run on each block of
-    slots as it finishes, which abort the run with the offending slot.
+    for delay-reduced algorithms, and ``initial_backlog`` (qla only) sets
+    U(0); each is rejected under the algorithms that would ignore it.
+    ``deviation_reference`` overrides the registered U*_V.
+    ``check_invariants`` turns on the per-slot contract scans
+    (nonnegativity, change bound, sandwich), run on each block of slots as
+    it finishes, which abort the run with the offending slot.
 
     Memory: the only per-slot series a run keeps are, with a reference
     point, the two post burn-in deviation arrays (16 bytes per slot); the
@@ -249,7 +251,8 @@ class AbsorptionReport:
 # is a copy of each finished block into whole-run arrays, and the
 # invariant scan checks each block as it finishes (both for R = 1 only).
 # _lockstep_finals advances many greedy runs of one V with _stacked_step
-# and keeps only their current backlogs; the placeholder warmups use it.
+# and keeps only their current backlogs; the placeholder warmups use it on
+# finite tables (_loop at R > 1 ran them 1.13x-1.78x slower).
 
 _CHUNK = 256  # run-slots per block: bookkeeping in _loop, state draws in _lockstep_finals
 _STACKED_MIN_R = 4  # fewest finite runs that _run_batched puts through one _loop call
@@ -582,12 +585,6 @@ def _loop(spec, V, rngs, slots, w0, burn, wl=None, ref=None, paths=False, check=
     return out
 
 
-def _virtual_trajectory(spec, V, T, rng, u0=None):
-    """Greedy backlog path of length T+1 (used by placeholder estimators)."""
-    start = np.zeros(spec.r) if u0 is None else np.asarray(u0, dtype=float)
-    return _loop(spec, [V], [rng], T, start[None], 0, paths=True)[0].W
-
-
 def _lockstep_finals(spec, V, T, streams):
     """Final backlogs (R, r) of R greedy runs of T slots from U(0) = 0.
 
@@ -595,9 +592,9 @@ def _lockstep_finals(spec, V, T, streams):
     one _stacked_step of all R per slot, and keep only their current
     backlogs.  States are drawn in chunks of _CHUNK slots per stream;
     consecutive draws consume a generator exactly like one draw of T
-    states, so row k equals ``_virtual_trajectory(spec, V, T,
-    streams[k])[-1]`` bit for bit.  Memory is O(R (r + _CHUNK)) whatever T
-    is.
+    states, so row k equals the ``final_w`` of a single _loop run of T
+    slots on ``streams[k]`` bit for bit.  Memory is O(R (r + _CHUNK))
+    whatever T is.
     """
     tab = tables(spec)
     step, vcost = _stacked_step(tab), V * tab.cost_pad
@@ -680,6 +677,11 @@ def _setup(config: RunConfig) -> _Setup:
     if config.slots < 1:
         raise ValueError(f"slots must be positive, got {config.slots}")
     _check_V(config.V)
+    if config.algorithm == "qla" and config.placeholders is not None:
+        raise ValueError("placeholders apply to the fqla-* algorithms only, not qla")
+    if config.algorithm != "qla" and config.initial_backlog is not None:
+        raise ValueError(f"initial_backlog applies to qla only; {config.algorithm} "
+                         "starts W at its placeholders")
     u0 = np.zeros(spec.r)
     if config.initial_backlog is not None:
         u0 = np.asarray(config.initial_backlog, dtype=float)
@@ -911,17 +913,22 @@ def absorption_check(scenario, V: float, report: SimReport) -> AbsorptionReport:
 
     The interval is [min_i U*_si - B, max_i U*_si + B] over the per-state
     dual optima; the verdict is whether the path entered it and stayed.
+    The path is the trace's slot-start backlogs followed by the final one.
     """
-    handle = as_handle(scenario)
-    spec = handle.spec
-    if spec.r != 1:
-        raise ValueError("absorbing intervals are defined for single-queue scenarios")
     if report.trace is None:
         raise ValueError("absorption check needs a recorded trace (record_trace=True)")
+    return _path_absorption(scenario, V, np.vstack([report.trace.u, report.final_backlog]))
+
+
+def _path_absorption(scenario, V: float, u) -> AbsorptionReport:
+    """absorption_check on the backlog rows ``u`` ((n, 1)), each counted once."""
+    spec = as_handle(scenario).spec
+    if spec.r != 1:
+        raise ValueError("absorbing intervals are defined for single-queue scenarios")
     optima = [per_state_optimum(spec, V, i) for i in range(spec.n_states)]
     lo = min(optima) - spec.B
     hi = max(optima) + spec.B
-    path = np.concatenate([report.trace.u[:, 0], [report.final_backlog[0]]])
+    path = u[:, 0]
     inside = (path >= lo - _TOL) & (path <= hi + _TOL)
     entered = np.flatnonzero(inside)
     if entered.size == 0:

@@ -267,7 +267,7 @@ def test_criterion_14_per_slot_distance_contract():
         i = int(tr.states[t])
         k = int(tr.actions[t])
         assert model.one_step_distance_contract_check(
-            tr.u[t], tab.svc[i][k], tab.arr[i][k], target, B, tol=EXACT_TOL), t
+            tr.u[t], tab.svc_rows[i][k], tab.arr_rows[i][k], target, B, tol=EXACT_TOL), t
 
 
 # -- long-horizon invariants backing the criteria ----------------------------

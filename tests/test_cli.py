@@ -308,6 +308,21 @@ def test_analyze_absorption_single_queue(single_queue_trace, capsys):
     assert "never left" in out
 
 
+def test_analyze_absorption_counts_each_row_once(tmp_path, capsys):
+    """The interval is [21.72..., inf) at V=20; the only row outside it
+    after entry is the last, so one violation (the last row once, not
+    also as the final backlog)."""
+    path = tmp_path / "crafted.csv"
+    rows = [f"{t},0,0,{u},,0" for t, u in enumerate([0.0, 30.0, 31.0, 30.0, 5.0])]
+    path.write_text("slot,state,cost,U_1,W_1,dropped_this_slot\n" + "\n".join(rows) + "\n",
+                    encoding="utf-8")
+    code = main(["analyze", "--scenario", "single-queue-discrete", "--V", "20",
+                 "--trace", str(path), "--mode", "absorption"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "entered at t0=1, violations: 1" in out
+
+
 def test_analyze_absorption_rejects_multi_queue(fqla_trace, capsys):
     code = main(["analyze", "--scenario", "five-queue-chain", "--V", "100",
                  "--trace", str(fqla_trace), "--mode", "absorption"])

@@ -46,7 +46,7 @@ def test_evaluate_dual_by_hand(tiny_spec):
 
 
 def test_evaluate_dual_matches_brute_force(five):
-    """Independent per-state enumeration agrees with the vectorized path."""
+    """Enumerating each state's action records gives evaluate_dual's value and subgradient."""
     spec = five.spec
     V = 80.0
     rng = np.random.default_rng(21)

@@ -240,8 +240,8 @@ def test_tables_cached_and_consistent(tiny_spec):
     for i, st in enumerate(tiny_spec.states):
         for k, act in enumerate(st.actions):
             assert tab.cost[i][k] == act.cost
-            np.testing.assert_array_equal(tab.arr[i][k], act.arrivals)
-            np.testing.assert_array_equal(tab.svc[i][k], act.services)
+            np.testing.assert_array_equal(tab.arr_rows[i][k], act.arrivals)
+            np.testing.assert_array_equal(tab.svc_rows[i][k], act.services)
             np.testing.assert_array_equal(
                 tab.sma[i][k], act.services - act.arrivals)
 
@@ -259,8 +259,8 @@ def test_padded_tables_match_ragged_tables():
     for i, c in enumerate(tab.cost):
         n = len(c)
         np.testing.assert_array_equal(tab.cost_pad[i, :n], c)
-        np.testing.assert_array_equal(tab.arr_pad[i, :n], tab.arr[i])
-        np.testing.assert_array_equal(tab.svc_pad[i, :n], tab.svc[i])
+        np.testing.assert_array_equal(tab.arr_pad[i, :n], tab.arr_rows[i])
+        np.testing.assert_array_equal(tab.svc_pad[i, :n], tab.svc_rows[i])
         np.testing.assert_array_equal(tab.sma_pad[i, :n], tab.sma[i])
         assert np.isposinf(tab.cost_pad[i, n:]).all()
         for stack in (tab.arr_pad, tab.svc_pad, tab.sma_pad):

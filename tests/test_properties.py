@@ -57,7 +57,8 @@ def finite_specs(draw, max_r=3):
        K=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
 def test_batched_warmups_equal_single_runs(spec, V, T, K, seed):
     est = fqla_general_estimate(spec, V, T=T, K=K, rng=seed)
-    finals = [sim._virtual_trajectory(spec, V, T, g)[-1] for g in substream(seed, 0, 1).spawn(K)]
+    finals = [sim._loop(spec, [V], [g], T, np.zeros((1, spec.r)), 0)[0].final_w
+              for g in substream(seed, 0, 1).spawn(K)]
     assert np.array_equal(est.w_terminal_mean, np.array(finals).mean(axis=0))
 
 
@@ -106,7 +107,7 @@ def reference_loop(spec, V, idx, w0, burn, wl=None):
             score = tab.sma[i] @ u
             score -= vcost[i]
             k = int(score.argmax())
-            return k, tab.cost[i][k], tab.arr[i][k], tab.svc[i][k]
+            return k, tab.cost[i][k], tab.arr_rows[i][k], tab.svc_rows[i][k]
 
         act_dtype = np.int64
     else:
@@ -456,7 +457,8 @@ def test_spec_dict_round_trip(spec):
     assert same_bits(back.probs, spec.probs)
     got, want = tables(back), tables(spec)
     for i in range(spec.n_states):
-        for g, e in ((got.cost, want.cost), (got.arr, want.arr), (got.svc, want.svc)):
+        for field in ("cost", "arr_rows", "svc_rows"):
+            g, e = getattr(got, field), getattr(want, field)
             assert same_bits(g[i], e[i])
 
 
@@ -472,7 +474,8 @@ def test_one_step_distance_contract_on_generated_specs(spec, data):
     k = data.draw(st.integers(0, len(tab.cost[i]) - 1))
     vec = st.lists(BACKLOG, min_size=spec.r, max_size=spec.r).map(np.array)
     u, target = data.draw(vec), data.draw(vec)
-    assert one_step_distance_contract_check(u, tab.svc[i][k], tab.arr[i][k], target, spec.B)
+    assert one_step_distance_contract_check(u, tab.svc_rows[i][k], tab.arr_rows[i][k], target,
+                                            spec.B)
 
 
 @settings(max_examples=60, deadline=None)

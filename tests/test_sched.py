@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -159,7 +161,7 @@ def test_virtual_backlog_follows_queue_law(five):
     w_rows = np.vstack([tr.w, rep.final_virtual])
     for t in range(5_000):
         i, k = int(tr.states[t]), int(tr.actions[t])
-        nxt = queue_update(w_rows[t], tab.svc[i][k], tab.arr[i][k])
+        nxt = queue_update(w_rows[t], tab.svc_rows[i][k], tab.arr_rows[i][k])
         np.testing.assert_array_equal(w_rows[t + 1], nxt)
 
 
@@ -207,7 +209,7 @@ def single_run_mean(spec, V, T, K, rng):
     """Mean terminal backlog of K one-at-a-time warmups on the estimator's streams."""
     if not isinstance(rng, np.random.Generator):
         rng = substream(rng, 0, 1)
-    return np.array([sim._virtual_trajectory(spec, V, T, g)[-1]
+    return np.array([sim._loop(spec, [V], [g], T, np.zeros((1, spec.r)), 0)[0].final_w
                      for g in rng.spawn(K)]).mean(axis=0)
 
 
@@ -226,7 +228,7 @@ CHUNK = sim._CHUNK
 
 
 @pytest.mark.parametrize("name", ["five-queue-chain", "two-queue", "single-queue-discrete",
-                                  "ragged"])
+                                  "ragged", "single-queue-continuous"])
 @pytest.mark.parametrize("T,K", [(1, 1), (CHUNK // 2, 3), (2 * CHUNK, 2), (2 * CHUNK + 37, 4)])
 @pytest.mark.parametrize("as_generator", [False, True])
 def test_lockstep_warmups_equal_single_runs(name, T, K, as_generator):
@@ -236,6 +238,24 @@ def test_lockstep_warmups_equal_single_runs(name, T, K, as_generator):
                                 rng=substream(7) if as_generator else 7)
     want = single_run_mean(spec, V, T, K, substream(7) if as_generator else 7)
     assert np.array_equal(est.w_terminal_mean, want)
+
+
+def test_continuous_warmups_memory_does_not_grow_with_T(contq):
+    """The continuous warmups keep no paths: K = 2 runs of 16 blocks peak
+    within a few KB of 2 runs of 4 blocks (numpy's small-block caches and
+    the deeper pairwise-sum tree), below the 8 r bytes per extra slot that
+    the W path of even one run would add."""
+    fqla_general_estimate(contq, 50.0, T=4 * CHUNK, K=2, rng=0)
+    peaks = []
+    for T in (4 * CHUNK, 16 * CHUNK):
+        gc.collect()  # otherwise the peak moves with the cyclic collector's timing
+        tracemalloc.start()
+        try:
+            fqla_general_estimate(contq, 50.0, T=T, K=2, rng=0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 8 * contq.spec.r * 12 * CHUNK
 
 
 # -- bisection ---------------------------------------------------------------

@@ -162,6 +162,11 @@ def test_burn_in_default_rule(five):
      "placeholders must be 5 finite, nonnegative levels"),
     (dict(algorithm="fqla-ideal", placeholders=np.array([1.0, 1.0, 1.0, 1.0, -1.0])),
      "placeholders must be 5 finite, nonnegative levels"),
+    (dict(placeholders=np.zeros(5)), "placeholders apply to the fqla-"),
+    (dict(algorithm="fqla-ideal", initial_backlog=np.ones(5)), "initial_backlog applies to qla"),
+    (dict(algorithm="fqla-general", initial_backlog=np.ones(5)),
+     "initial_backlog applies to qla"),
+    (dict(algorithm="fqla-bisect", initial_backlog=np.ones(5)), "initial_backlog applies to qla"),
 ])
 def test_run_config_validation(five, kw, msg):
     base = dict(scenario=five, V=50.0, slots=5_000, seed=0)
@@ -202,7 +207,7 @@ def test_drop_accounting_is_windowed(five):
     offered = 0.0
     for t in range(rep.burn_in, rep.slots):
         i, k = int(rep.trace.states[t]), int(rep.trace.actions[t])
-        offered += tab.arr[i][k][0]
+        offered += tab.arr_rows[i][k][0]
     assert rep.offered == offered
 
 
