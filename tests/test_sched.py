@@ -241,10 +241,10 @@ def test_lockstep_warmups_equal_single_runs(name, T, K, as_generator):
 
 
 def test_continuous_warmups_memory_does_not_grow_with_T(contq):
-    """The continuous warmups keep no paths: K = 2 runs of 16 blocks peak
-    within a few KB of 2 runs of 4 blocks (numpy's small-block caches and
-    the deeper pairwise-sum tree), below the 8 r bytes per extra slot that
-    the W path of even one run would add."""
+    """The continuous warmups keep no paths: K = 2 runs of T = 16 _CHUNK
+    slots peak within a few KB of T = 4 _CHUNK (numpy's small-block caches
+    and the deeper pairwise-sum tree), below the 8 r bytes per extra slot
+    that the W path of even one run would add."""
     fqla_general_estimate(contq, 50.0, T=4 * CHUNK, K=2, rng=0)
     peaks = []
     for T in (4 * CHUNK, 16 * CHUNK):
