@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -20,6 +19,12 @@ _PALETTE = ("#1f6fb2", "#d1495b", "#3a9e5f", "#8a5fb0", "#c98a2b", "#4d4d4d")
 
 _W, _H = 720, 480
 _ML, _MR, _MT, _MB = 72, 18, 58, 52
+
+
+def _escape(text: str) -> str:
+    """Escape ``&``, ``<`` and ``>`` for SVG text content (as xml.sax.saxutils
+    does, without importing its urllib and email dependencies)."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 @dataclass
@@ -131,11 +136,11 @@ def render_chart(series: Sequence[Series], *, title: str = "", caption: str = ""
     if title:
         out.append(f'<text x="{width // 2}" y="22" text-anchor="middle" '
                    f'font-family="monospace" font-size="14" fill="#111111">'
-                   f'{escape(title)}</text>')
+                   f'{_escape(title)}</text>')
     if caption:
         out.append(f'<text x="{width // 2}" y="40" text-anchor="middle" '
                    f'font-family="monospace" font-size="11" fill="#555555">'
-                   f'{escape(caption)}</text>')
+                   f'{_escape(caption)}</text>')
 
     x_ticks = _nice_ticks(x_lo, x_hi)
     y_ticks = _log_ticks(y_lo, y_hi) if log_y else _nice_ticks(y_lo, y_hi)
@@ -158,12 +163,12 @@ def render_chart(series: Sequence[Series], *, title: str = "", caption: str = ""
     if xlabel:
         out.append(f'<text x="{_ML + pw // 2}" y="{height - 12}" text-anchor="middle" '
                    f'font-family="monospace" font-size="12" fill="#111111">'
-                   f'{escape(xlabel)}</text>')
+                   f'{_escape(xlabel)}</text>')
     if ylabel:
         yc = _MT + ph // 2
         out.append(f'<text x="16" y="{yc}" text-anchor="middle" '
                    f'font-family="monospace" font-size="12" fill="#111111" '
-                   f'transform="rotate(-90 16 {yc})">{escape(ylabel)}</text>')
+                   f'transform="rotate(-90 16 {yc})">{_escape(ylabel)}</text>')
 
     for si, (s, (sx, sy)) in enumerate(zip(series, pts)):
         color = _PALETTE[si % len(_PALETTE)]
@@ -183,7 +188,7 @@ def render_chart(series: Sequence[Series], *, title: str = "", caption: str = ""
         out.append(f'<line x1="{_ML + pw - 130}" y1="{ly - 4}" x2="{_ML + pw - 106}" '
                    f'y2="{ly - 4}" stroke="{color}" stroke-width="2"/>')
         out.append(f'<text x="{_ML + pw - 100}" y="{ly}" font-family="monospace" '
-                   f'font-size="11" fill="#111111">{escape(s.label)}</text>')
+                   f'font-size="11" fill="#111111">{_escape(s.label)}</text>')
         ly += 16
     out.append("</svg>")
     return "\n".join(out) + "\n"

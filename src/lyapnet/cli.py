@@ -18,7 +18,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -170,6 +169,8 @@ def cmd_sweep(args) -> int:
     if jobs == 1:
         results = _sweep_worker(batches[0])
     else:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing; only here
+
         with ProcessPoolExecutor(max_workers=jobs) as ex:
             results = [res for part in ex.map(_sweep_worker, batches) for res in part]
 
@@ -275,10 +276,10 @@ def cmd_dual(args) -> int:
 
 
 def _read_trace(path: str):
-    """Parse a trace CSV back into arrays; W is None when its columns are empty.
+    """Parse the U and W columns of a trace CSV; W is None when its columns are empty.
 
     The rows are transposed into columns, and each column is converted
-    with one map of int() or float() over its fields.
+    with one map of float() over its fields.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -286,29 +287,26 @@ def _read_trace(path: str):
         columns = list(zip(*reader))
     if not columns:
         raise ValidationError(path, "trace file has no data rows")
-    cols = {name: i for i, name in enumerate(header)}
-    u_cols = [cols[c] for c in header if c.startswith("U_")]
-    w_cols = [cols[c] for c in header if c.startswith("W_")]
-    if "state" not in cols or not u_cols:
+    u_cols = [j for j, name in enumerate(header) if name.startswith("U_")]
+    w_cols = [j for j, name in enumerate(header) if name.startswith("W_")]
+    if "state" not in header or not u_cols:
         raise ValidationError(path, "not a trace CSV (missing state/U_ columns)")
     n = len(columns[0])
 
-    def parse(j, kind=float):
-        return np.fromiter(map(kind, columns[j]), dtype=kind, count=n)
+    def parse(j):
+        return np.fromiter(map(float, columns[j]), dtype=float, count=n)
 
-    states = parse(cols["state"], int)
-    costs = parse(cols["cost"])
     u = np.column_stack([parse(c) for c in u_cols])
     has_w = w_cols and columns[w_cols[0]][0] != ""
     w = np.column_stack([parse(c) for c in w_cols]) if has_w else None
-    return states, costs, u, w
+    return u, w
 
 
 def cmd_analyze(args) -> int:
     handle = _load_scenario(args)
     spec = handle.spec
     r = spec.r
-    _, _, u, w = _read_trace(args.trace)
+    u, w = _read_trace(args.trace)
     n = len(u)
     caption = f"{handle.name} V={args.V:g} trace={os.path.basename(args.trace)}"
 

@@ -147,12 +147,33 @@ class NetworkSpec:
             if finite:
                 if not st.actions:
                     raise ValidationError(f"{path}.actions", "must contain at least one action")
-                for k, act in enumerate(st.actions):
-                    self._validate_action(f"{path}.actions[{k}]", act)
+                self._validate_table(f"{path}.actions", st.actions)
             else:
                 self._validate_continuous(path, st.actions)
         if abs(total - 1.0) > _PROB_TOL:
             raise ValidationError("states", f"probabilities sum to {total!r}, expected 1")
+
+    def _validate_table(self, path: str, acts: list[ActionRecord]):
+        """Check a finite table at once; raise for its first bad record.
+
+        One pass over the stacked costs and traffic vectors finds the first
+        bad record, and ``_validate_action`` then reports its first bad
+        entry: the cost, then arrivals[0..r-1], then services[0..r-1].
+        """
+        want = (self.r,)
+        n = next((k for k, a in enumerate(acts)
+                  if a.arrivals.shape != want or a.services.shape != want), len(acts))
+        if n:
+            lo, hi = -_RANGE_TOL, self.delta_max + _RANGE_TOL
+            cost = np.array([a.cost for a in acts[:n]])
+            # row k: record k's arrivals, then its services
+            traffic = np.concatenate([v for a in acts[:n] for v in (a.arrivals, a.services)])
+            traffic = traffic.reshape(n, 2 * self.r)
+            ok = np.isfinite(cost) & ((traffic >= lo) & (traffic <= hi)).all(axis=1)
+            if not ok.all():
+                n = int(ok.argmin())
+        if n < len(acts):
+            self._validate_action(f"{path}[{n}]", acts[n])
 
     def _validate_action(self, path: str, act: ActionRecord):
         if not math.isfinite(act.cost):
@@ -346,7 +367,7 @@ class _Tables:
     in every per-slot score.  ``cost`` and ``sma`` hold one array per state,
     and ``arr_rows``/``svc_rows`` the arrival and service tables as one list
     of row arrays per state, which a per-slot loop indexes without building
-    a view.  The ``*_pad`` stacks hold the same tables as (S, A, r) / (S, A)
+    a view; all are slices or rows of one stack over every record.  The ``*_pad`` stacks hold the same tables as (S, A, r) / (S, A)
     arrays padded to the largest action count A, so batched code can gather
     many states at once.  Padded actions have cost +inf and zero traffic, so
     no score that subtracts V * cost (V > 0) ever picks them.
@@ -369,21 +390,25 @@ def tables(spec: NetworkSpec) -> _Tables:
         return cached
     if not spec.is_finite:
         raise ValueError("tables() requires finite action tables")
-    cost, sma, arr_rows, svc_rows = [], [], [], []
-    for st in spec.states:
-        A = np.stack([a.arrivals for a in st.actions])
-        S = np.stack([a.services for a in st.actions])
-        cost.append(np.array([a.cost for a in st.actions]))
-        sma.append(S - A)
-        arr_rows.append(list(A))
-        svc_rows.append(list(S))
-    shape = (spec.n_states, max(len(c) for c in cost))
+    acts = [a for st in spec.states for a in st.actions]
+    cost_all = np.array([a.cost for a in acts])
+    arr_all = np.concatenate([a.arrivals for a in acts]).reshape(len(acts), spec.r)
+    svc_all = np.concatenate([a.services for a in acts]).reshape(len(acts), spec.r)
+    sma_all = svc_all - arr_all
+    counts = [len(st.actions) for st in spec.states]
+    bounds = np.cumsum([0] + counts).tolist()
+    spans = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    cost = [cost_all[sl] for sl in spans]
+    sma = [sma_all[sl] for sl in spans]
+    arr_rows = [list(arr_all[sl]) for sl in spans]
+    svc_rows = [list(svc_all[sl]) for sl in spans]
+    # every record's (state, action) position in the padded stacks
+    rows = np.repeat(np.arange(spec.n_states), counts)
+    pos = (rows, np.arange(len(acts)) - np.take(bounds, rows))
+    shape = (spec.n_states, max(counts))
     cost_pad = np.full(shape, np.inf)
     arr_pad, svc_pad = np.zeros(shape + (spec.r,)), np.zeros(shape + (spec.r,))
-    for i, c in enumerate(cost):
-        cost_pad[i, :len(c)] = c
-        arr_pad[i, :len(c)] = arr_rows[i]
-        svc_pad[i, :len(c)] = svc_rows[i]
+    cost_pad[pos], arr_pad[pos], svc_pad[pos] = cost_all, arr_all, svc_all
     tab = _Tables(cost, sma, arr_rows, svc_rows, cost_pad, arr_pad, svc_pad, svc_pad - arr_pad)
     spec._tables = tab
     return tab

@@ -83,18 +83,19 @@ def _chain_spec(name: str, n: int) -> NetworkSpec:
     State index = Rbit * 2^n + channel bits, action index = power bits;
     bit j corresponds to queue j, so index 0 is the all-idle action.
     """
+    queues = np.arange(n)
+    power = ((np.arange(2 ** n)[:, None] >> queues) & 1).astype(float)  # row k = action k
+    cost = power.sum(axis=1).tolist()
     states = []
     for s in range(2 ** (n + 1)):
         rbit, cbits = divmod(s, 2 ** n)
-        rate = np.array([2.0 if (cbits >> j) & 1 else 1.0 for j in range(n)])
+        rate = np.where((cbits >> queues) & 1, 2.0, 1.0)
         prob = (_P_BURST if rbit else 1.0 - _P_BURST) * 0.5 ** n
-        actions = []
-        for k in range(2 ** n):
-            x = np.array([(k >> j) & 1 for j in range(n)], dtype=float)
-            mu = x * rate
-            arr = np.concatenate(([2.0 if rbit else 0.0], mu[:-1]))
-            actions.append(ActionRecord(float(x.sum()), arr, mu))
-        states.append(StateSpec(prob, actions))
+        mu = power * rate
+        arr = np.empty_like(mu)
+        arr[:, 0] = 2.0 if rbit else 0.0
+        arr[:, 1:] = mu[:, :-1]
+        states.append(StateSpec(prob, [ActionRecord(c, a, m) for c, a, m in zip(cost, arr, mu)]))
     return NetworkSpec(name, n, 2.0, states)
 
 

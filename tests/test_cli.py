@@ -1,15 +1,20 @@
 """End-to-end checks of the command-line front end.
 
 Everything goes through ``lyapnet.cli.main`` in-process: exit codes, printed
-summaries, and the CSV/SVG files each subcommand writes.  No subprocesses.
+summaries, and the CSV/SVG files each subcommand writes.  The one subprocess
+is a fresh interpreter that checks what ``import lyapnet.cli`` loads.
 """
 
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
 
-from lyapnet import scenarios
+from lyapnet import _svg, scenarios
 from lyapnet import sim as simulation
 from lyapnet.cli import main
 from lyapnet.dual import evaluate_dual
@@ -219,7 +224,7 @@ def single_queue_trace(tmp_path_factory):
 
 @pytest.mark.parametrize("trace", ["fqla_trace", "single_queue_trace"])
 def test_read_trace_parses_every_field_bit_for_bit(trace, request):
-    """The column-wise parse equals int()/float() of every field, with W
+    """The column-wise parse equals float() of every U and W field, with W
     columns (FQLA) and with empty ones (QLA)."""
     from lyapnet.cli import _read_trace
 
@@ -228,13 +233,10 @@ def test_read_trace_parses_every_field_bit_for_bit(trace, request):
     header, rows = lines[0].split(","), [line.split(",") for line in lines[1:]]
     u_cols = [j for j, c in enumerate(header) if c.startswith("U_")]
     w_cols = [j for j, c in enumerate(header) if c.startswith("W_")]
-    want_states = np.array([int(row[1]) for row in rows])
-    want_costs = np.array([float(row[2]) for row in rows])
     want_u = np.array([[float(row[j]) for j in u_cols] for row in rows])
-    states, costs, u, w = _read_trace(str(path))
-    for got, want in ((states, want_states), (costs, want_costs), (u, want_u)):
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+    u, w = _read_trace(str(path))
+    assert u.dtype == want_u.dtype and u.shape == want_u.shape
+    assert u.tobytes() == want_u.tobytes()
     if trace == "fqla_trace":
         want_w = np.array([[float(row[j]) for j in w_cols] for row in rows])
         assert w.dtype == want_w.dtype and w.shape == want_w.shape
@@ -359,6 +361,16 @@ def test_analyze_empty_trace_exits_2(tmp_path, capsys):
                  "--trace", str(stub), "--mode", "tail"])
     assert code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("header", ["slot,cost,U_1", "slot,state,cost,W_1"])
+def test_analyze_rejects_csv_without_trace_header(header, tmp_path, capsys):
+    stub = tmp_path / "other.csv"
+    stub.write_text(f"{header}\n0,1,2.5\n", encoding="utf-8")
+    code = main(["analyze", "--scenario", "single-queue-continuous", "--V", "10",
+                 "--trace", str(stub), "--mode", "tail"])
+    assert code == 2
+    assert "not a trace CSV" in capsys.readouterr().err
 
 
 def test_analyze_missing_trace_exits_1(tmp_path, capsys):
@@ -489,3 +501,28 @@ def test_sweep_reports_failed_cells(tmp_path, capsys):
     assert code == 1
     assert "sweep cell failed" in err
     assert not report.exists()
+
+
+# -- cold start ----------------------------------------------------------------
+
+
+def test_import_leaves_network_and_process_modules_unloaded():
+    """xml.sax.saxutils pulls in urllib.request, http.client, ssl and email,
+    and ProcessPoolExecutor pulls in multiprocessing: a cold CLI start loads
+    none of them."""
+    import lyapnet
+
+    src = os.path.dirname(os.path.dirname(lyapnet.__file__))
+    heavy = ["xml.sax", "urllib.request", "http.client", "ssl", "email",
+             "concurrent.futures.process", "multiprocessing"]
+    code = f"import sys, lyapnet.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("text", ["", "plain", "a < b & c > d", "&amp; &lt;&gt;", "<<&&>>",
+                                  'quotes " and \' stay', "Δ ≤ 1 &#x3c;"])
+def test_svg_escape_matches_saxutils(text):
+    assert _svg._escape(text) == escape(text)

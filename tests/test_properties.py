@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from lyapnet.model import (  # noqa: E402
     ActionRecord,
     NetworkSpec,
     StateSpec,
+    ValidationError,
     one_step_distance_contract_check,
     queue_update,
     sample_states,
@@ -505,3 +507,85 @@ def test_continuous_search_stops_where_the_subgradient_changes_sign(mu_max, V):
 
     assert G(u) > 0.0 >= G(np.nextafter(u, np.inf))
     assert abs(u - V * np.exp(0.5)) <= 1e-14 * V * np.exp(0.5)
+
+
+def _first_bad_entry(r, delta_max, states):
+    """Path and message of the first bad entry of finite tables, checked one
+    entry at a time in table order: the oracle for NetworkSpec's validation."""
+    for i, st_ in enumerate(states):
+        for k, act in enumerate(st_.actions):
+            path = f"states[{i}].actions[{k}]"
+            if not math.isfinite(act.cost):
+                return f"{path}.cost", f"must be finite, got {act.cost!r}"
+            for name, vec in (("arrivals", act.arrivals), ("services", act.services)):
+                if vec.shape != (r,):
+                    return f"{path}.{name}", f"expected length {r}, got shape {vec.shape}"
+                for j, v in enumerate(vec):
+                    if not (-1e-12 <= v <= delta_max + 1e-12):
+                        return (f"{path}.{name}[{j}]",
+                                f"must lie in [0, delta_max={delta_max}], got {v!r}")
+    return None
+
+
+# (field, value): a cost, an entry of a traffic vector, or a vector's length
+# change.  The entries at -1e-12 and delta_max + 1e-12 are the range's ends
+# and pass; the ones a float beyond them fail.
+_CORRUPTIONS = [("cost", math.nan), ("cost", math.inf), ("cost", -math.inf),
+                ("entry", math.nan), ("entry", "below"), ("entry", "above"),
+                ("entry", "lo"), ("entry", "hi"), ("length", -1), ("length", 1)]
+
+
+def _corrupt(act, r, delta_max, field, value, name="arrivals", j=0):
+    if field == "cost":
+        act.cost = value
+    elif field == "length":
+        setattr(act, name, np.zeros(r + value))
+    elif j < getattr(act, name).size:
+        hi = delta_max + 1e-12
+        getattr(act, name)[j] = {"below": np.nextafter(-1e-12, -np.inf), "lo": -1e-12, "hi": hi,
+                                 "above": np.nextafter(hi, np.inf)}.get(value, value)
+
+
+def _copy_states(spec):
+    return [StateSpec(s.prob, [ActionRecord(a.cost, a.arrivals.copy(), a.services.copy())
+                               for a in s.actions]) for s in spec.states]
+
+
+def _assert_validates_like_the_oracle(spec, states):
+    want = _first_bad_entry(spec.r, spec.delta_max, states)
+    if want is None:
+        NetworkSpec(spec.name, spec.r, spec.delta_max, states)
+        return
+    with pytest.raises(ValidationError) as err:
+        NetworkSpec(spec.name, spec.r, spec.delta_max, states)
+    assert (err.value.path, str(err.value)) == (want[0], f"{want[0]}: {want[1]}")
+
+
+@pytest.mark.parametrize("name", ["arrivals", "services"])
+@pytest.mark.parametrize("field,value", _CORRUPTIONS)
+def test_validation_reports_the_first_of_two_bad_actions(field, value, name):
+    """One corruption of each kind in action 1, an out-of-range entry after
+    it in action 2 and a short vector in the next state."""
+    spec = scenarios.two_queue().spec
+    states = _copy_states(spec)
+    _corrupt(states[0].actions[1], spec.r, spec.delta_max, field, value, name, j=1)
+    _corrupt(states[0].actions[2], spec.r, spec.delta_max, "entry", "above", "services")
+    _corrupt(states[1].actions[0], spec.r, spec.delta_max, "length", -1)
+    _assert_validates_like_the_oracle(spec, states)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=finite_specs(), data=st.data())
+def test_validation_reports_the_first_bad_entry(spec, data):
+    """Corrupt one to four entries of generated tables (see _CORRUPTIONS):
+    the error names the first bad entry in table order, with the per-entry
+    loop's path and message, and tables with none pass."""
+    states = _copy_states(spec)
+    for _ in range(data.draw(st.integers(1, 4), label="corruptions")):
+        i = data.draw(st.integers(0, len(states) - 1), label="state")
+        act = data.draw(st.sampled_from(states[i].actions), label="action")
+        field, value = data.draw(st.sampled_from(_CORRUPTIONS), label="corruption")
+        name = data.draw(st.sampled_from(("arrivals", "services")), label="vector")
+        _corrupt(act, spec.r, spec.delta_max, field, value, name,
+                 data.draw(st.integers(0, spec.r - 1), label="entry"))
+    _assert_validates_like_the_oracle(spec, states)

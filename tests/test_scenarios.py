@@ -87,6 +87,38 @@ def test_chain_relay_feeds_next_queue(five):
             np.testing.assert_array_equal(act.arrivals[1:], act.services[:-1])
 
 
+def _chain_tables_per_action(n):
+    """(prob, [(cost, arrivals, services)]) per state of the n-queue chain,
+    built one action at a time: the oracle for the array-built tables."""
+    states = []
+    for s in range(2 ** (n + 1)):
+        rbit, cbits = divmod(s, 2 ** n)
+        rate = np.array([2.0 if (cbits >> j) & 1 else 1.0 for j in range(n)])
+        prob = (5.0 / 8.0 if rbit else 1.0 - 5.0 / 8.0) * 0.5 ** n
+        actions = []
+        for k in range(2 ** n):
+            x = np.array([(k >> j) & 1 for j in range(n)], dtype=float)
+            mu = x * rate
+            arr = np.concatenate(([2.0 if rbit else 0.0], mu[:-1]))
+            actions.append((float(x.sum()), arr, mu))
+        states.append((prob, actions))
+    return states
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_chain_tables_equal_per_action_construction(n):
+    spec = scenarios._chain_spec("chain", n)
+    want = _chain_tables_per_action(n)
+    assert (spec.r, spec.delta_max, spec.n_states) == (n, 2.0, len(want))
+    for st, (prob, actions) in zip(spec.states, want):
+        assert st.prob.hex() == prob.hex() and len(st.actions) == len(actions)
+        for act, (cost, arr, mu) in zip(st.actions, actions):
+            assert type(act.cost) is float and act.cost.hex() == cost.hex()
+            for got, ref in ((act.arrivals, arr), (act.services, mu)):
+                assert got.dtype == ref.dtype and got.shape == ref.shape
+                assert got.tobytes() == ref.tobytes()
+
+
 def test_tags(five, two, contq, discq):
     assert five.geometry == two.geometry == discq.geometry == "polyhedral"
     assert contq.geometry == "smooth"
