@@ -367,9 +367,10 @@ class _Tables:
     in every per-slot score.  ``cost`` and ``sma`` hold one array per state,
     and ``arr_rows``/``svc_rows`` the arrival and service tables as one list
     of row arrays per state, which a per-slot loop indexes without building
-    a view; all are slices or rows of one stack over every record.  The ``*_pad`` stacks hold the same tables as (S, A, r) / (S, A)
-    arrays padded to the largest action count A, so batched code can gather
-    many states at once.  Padded actions have cost +inf and zero traffic, so
+    a view; all are slices or rows of one stack over every record.  The
+    ``*_pad`` stacks hold the same tables as (S, A, r) / (S, A) arrays
+    padded to the largest action count A, so batched code can gather many
+    states at once.  Padded actions have cost +inf and zero traffic, so
     no score that subtracts V * cost (V > 0) ever picks them.
     """
 
