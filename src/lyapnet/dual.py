@@ -545,8 +545,8 @@ def estimate_geometry(scenario, u_star0=None, probe_radius: float = 0.5,
         raise ValueError(f"probe_radius must be positive, got {probe_radius!r}")
     if n_directions < 2:
         raise ValueError("need at least two probe directions")
-    if rng is None:
-        rng = np.random.default_rng(0)
+    if rng is None or isinstance(rng, (int, np.integer)):
+        rng = np.random.default_rng(0 if rng is None else int(rng))
     if u_star0 is None:
         u_star0 = find_optimal_multiplier(handle, 1.0).u_star
     u_star0 = np.asarray(u_star0, dtype=float)

@@ -87,8 +87,8 @@ class RunConfig:
     (nonnegativity, change bound, sandwich), run on each block of slots as
     it finishes, which abort the run with the offending slot.
 
-    Memory: the only per-slot series a run keeps are, with a reference
-    point, the two post burn-in deviation arrays (16 bytes per slot); the
+    Memory: the only per-slot series a run keeps is, with a reference
+    point, the post burn-in deviation array (8 bytes per slot); the
     costs, U and W paths, states, actions and per-slot drops are kept only
     under ``record_trace``.  The invariant scans need O(r _CHUNK) memory.
     """
@@ -133,10 +133,10 @@ class SimReport:
     burn-in window, so ``drop_fraction`` is the long-run fraction of
     offered exogenous packets dropped rather than a startup artifact.
     ``final_*`` fields are end-of-run snapshots.  The only per-slot
-    series are ``deviations`` and ``per_coord_deviations`` (post burn-in,
-    with a reference point) and, under ``record_trace`` only, ``trace``;
-    run_many leaves all three None.  The averages are built block by block
-    and equal numpy's mean over the whole series bit for bit.
+    series are ``deviations`` (post burn-in, with a reference point, 8
+    bytes per slot) and, under ``record_trace`` only, ``trace``; run_many
+    leaves both None.  The averages are built block by block and equal
+    numpy's mean over the whole series bit for bit.
     """
 
     scenario: str
@@ -160,7 +160,6 @@ class SimReport:
     sandwich_violations: "int | None" = None
     deviation_reference: "np.ndarray | None" = None
     deviations: "np.ndarray | None" = None
-    per_coord_deviations: "np.ndarray | None" = None
     trace: "Trace | None" = None
 
 
@@ -406,7 +405,8 @@ class _Run:
     deviations and the means ``avg_u``/``avg_w`` cover the slots from the
     burn-in on; ``final_u``/``final_w`` are the backlogs after the last
     slot.  The fields from ``costs`` on, the trace, are None unless _loop
-    was asked for ``paths``.
+    was asked for ``paths``; without it ``dev`` (8 bytes per slot, None
+    without a reference point) is the only per-slot series.
     """
 
     avg_cost: float
@@ -414,7 +414,6 @@ class _Run:
     drop_sum: np.ndarray
     bad: "int | None"
     dev: "np.ndarray | None"
-    pcd: "np.ndarray | None"
     avg_u: np.ndarray
     avg_w: np.ndarray
     final_u: np.ndarray
@@ -437,8 +436,8 @@ def _loop(spec, V, rngs, slots, w0, burn, wl=None, ref=None, paths=False, check=
     of each arrival a, and ``bad`` counts the rows x queues of U outside
     the sandwich around W.  Without them U is W (the same array), nothing
     is dropped and nothing is counted: the drop sum is zero and ``bad``
-    None.  The deviations are the Euclidean and max-coordinate distances
-    of W(t) from the reference point ``ref`` ((R, r)), None without one.
+    None.  The deviations are the Euclidean distances of W(t) from the
+    reference point ``ref`` ((R, r)), 8 bytes per slot, None without one.
 
     Each block of rows = max(1, _CHUNK // R) slots draws every run's states
     with sample_states, which consumes a generator exactly like one draw of
@@ -471,9 +470,7 @@ def _loop(spec, V, rngs, slots, w0, burn, wl=None, ref=None, paths=False, check=
         U[0] = 0.0
         u_mean = _WindowMean(window, R, r)
         bad = _sandwich_bad(U[:1], W[:1], wl, spec.delta_max).sum(axis=(0, 2))
-    dev = pcd = None
-    if ref is not None:
-        dev, pcd = np.empty((R, window)), np.empty((R, window))
+    dev = None if ref is None else np.empty((R, window))
     finite = spec.is_finite
     if finite:
         tab = tables(spec)
@@ -560,9 +557,7 @@ def _loop(spec, V, rngs, slots, w0, burn, wl=None, ref=None, paths=False, check=
                             None if wl is None else wl[0], t0)
         arr_sum = _chained_sum(arr_sum, a[lo:])
         if ref is not None and lo < n:
-            diff = Wb[lo:n] - ref
-            dev[:, t0 + lo - burn:t1 - burn] = np.linalg.norm(diff, axis=2).T
-            pcd[:, t0 + lo - burn:t1 - burn] = np.abs(diff).max(axis=2).T
+            dev[:, t0 + lo - burn:t1 - burn] = np.linalg.norm(Wb[lo:n] - ref, axis=2).T
         if paths:
             t_costs[t0:t1], t_acts[t0:t1], t_idx[t0:t1] = cb[:, 0], ks[:, 0], states[:, 0]
             t_W[t0 + 1:t1 + 1], t_U[t0 + 1:t1 + 1] = Wb[1:, 0], Ub[1:, 0]
@@ -577,8 +572,8 @@ def _loop(spec, V, rngs, slots, w0, burn, wl=None, ref=None, paths=False, check=
     avg_cost, avg_w = cost_mean.mean(), w_mean.mean()
     avg_u = avg_w if wl is None else u_mean.mean()
     out = [_Run(float(avg_cost[k]), arr_sum[k], drop_sum[k], None if bad is None else int(bad[k]),
-                None if dev is None else dev[k], None if pcd is None else pcd[k],
-                avg_u[k], avg_w[k], U[0, k].copy(), W[0, k].copy()) for k in range(R)]
+                None if dev is None else dev[k], avg_u[k], avg_w[k], U[0, k].copy(),
+                W[0, k].copy()) for k in range(R)]
     if paths:
         out[0].costs, out[0].states, out[0].actions, out[0].drops, out[0].U, out[0].W = (
             t_costs, t_idx, t_acts, t_drops, t_U, t_W)
@@ -736,7 +731,6 @@ def _report(s: _Setup, lp: _Run) -> SimReport:
     if s.u_star is not None:  # attraction acts on the virtual backlog (U under qla)
         report.deviation_reference = s.u_star
         report.deviations = lp.dev
-        report.per_coord_deviations = lp.pcd
 
     if config.record_trace:
         report.trace = Trace(
@@ -770,10 +764,10 @@ def run_many(configs: Sequence[RunConfig]) -> list[SimReport]:
     not), the slots and the burn-in advance together in one _loop call
     (on finite tables, from _STACKED_MIN_R configs on).
     Every report equals run()'s for its config field for field, except that
-    the per-slot series ``deviations``, ``per_coord_deviations`` and
-    ``trace`` are None, so the memory of R runs does not grow with their
-    length.  Configs asking for ``record_trace`` or ``check_invariants``
-    are rejected with a ValueError; a bad config raises what run() raises.
+    the per-slot series ``deviations`` and ``trace`` are None, so the
+    memory of R runs does not grow with their length.  Configs asking for
+    ``record_trace`` or ``check_invariants`` are rejected with a
+    ValueError; a bad config raises what run() raises.
     """
     for c in configs:
         if c.record_trace or c.check_invariants:
@@ -872,17 +866,15 @@ def curve_from_deviations(dev: np.ndarray, D: float) -> DeviationCurve:
     return DeviationCurve(float(D), ms, p, n)
 
 
-def deviation_statistics(report: SimReport, D: float, per_coord: bool = False) -> DeviationCurve:
+def deviation_statistics(report: SimReport, D: float) -> DeviationCurve:
     """Empirical tail curve m -> fraction of slots with deviation > D + m.
 
     Exact over the post-burn-in window, for integer m from 0 until the
-    curve reaches zero.  ``per_coord`` switches to the max per-coordinate
-    deviation.
+    curve reaches zero.
     """
-    dev = report.per_coord_deviations if per_coord else report.deviations
-    if dev is None:
+    if report.deviations is None:
         raise ValueError("run recorded no deviations (no reference point available)")
-    return curve_from_deviations(dev, D)
+    return curve_from_deviations(report.deviations, D)
 
 
 def fit_tail(curve: DeviationCurve, min_samples: int = 30) -> TailFit:

@@ -73,3 +73,13 @@ def test_summarize_gives_no_gain_to_a_change_that_fails_more_operations():
     lines = bench_pairs.summarize(base, runs("headline", [v * 1.4 for v in PARENT],
                                              [0.45] * 10, failed=1), METRICS)
     assert lines[1].endswith(": gain") and lines[2].endswith(": gain")
+
+
+def test_src_lines_counts_the_package_modules_like_wc(tmp_path):
+    pkg = tmp_path / "src" / "lyapnet"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text("x = 1\ny = 2\n\n")
+    (pkg / "b.py").write_text("z = 3")  # no final newline, so wc -l counts 0
+    (pkg / "notes.txt").write_text("not\ncounted\n")
+    (tmp_path / "src" / "setup.py").write_text("not counted\n")
+    assert bench_pairs.src_lines(tmp_path) == 3

@@ -15,6 +15,7 @@ from lyapnet.dual import (
     evaluate_dual,
     find_optimal_multiplier,
     osm_step,
+    per_state_dual,
     per_state_optimum,
     rism_step,
     theorem2_constants,
@@ -66,6 +67,27 @@ def test_evaluate_dual_matches_brute_force(five):
         ev = evaluate_dual(spec, V, u)
         assert ev.value == pytest.approx(value, rel=1e-12)
         np.testing.assert_allclose(ev.subgradient, G, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["five", "two", "discq", "contq"])
+def test_per_state_dual_sums_to_evaluate_dual(name, request):
+    """Each state's term is minimized by the greedy decision, and the terms
+    summed in state order, weighted by p_i, give evaluate_dual's value and
+    minimizers bit for bit."""
+    spec = request.getfixturevalue(name).spec
+    rng = np.random.default_rng(22)
+    for _ in range(200):
+        V = rng.uniform(0.5, 200.0)
+        u = rng.uniform(0.0, 8.0 * V, spec.r)
+        value, actions = 0.0, []
+        for i, st in enumerate(spec.states):
+            term, k = per_state_dual(spec, V, i, u)
+            assert k == qla_decide(spec, V, i, u).action
+            value += st.prob * term
+            actions.append(k)
+        ev = evaluate_dual(spec, V, u)
+        assert value == ev.value
+        assert actions == ev.argmin_actions
 
 
 def test_evaluate_dual_rejects_bad_multipliers(tiny_spec):
@@ -346,6 +368,10 @@ def test_estimate_geometry_polyhedral(five):
     assert geo.L > 0.0
     assert geo.radii == (0.5, 1.0)
     assert geo.n_directions == 64
+
+
+def test_estimate_geometry_int_seed_is_a_generator_seed(discq):
+    assert estimate_geometry(discq, rng=3) == estimate_geometry(discq, rng=np.random.default_rng(3))
 
 
 def test_estimate_geometry_smooth(contq):

@@ -78,17 +78,17 @@ def _traced_peak(cfg):
     pytest.param("five-queue-chain", True, id="five-queue-chain-check_invariants"),
 ])
 def test_run_memory_grows_only_by_the_kept_series(name, check):
-    """Without a trace a run keeps only the two deviation arrays (16 bytes
-    per slot): no costs, and no U and W paths, whatever r is, also when the
-    invariants are checked.  At most 20 bytes per extra slot (about 29.5
-    and 56 before the means were streamed, 232 with the checks before
-    they ran per block)."""
+    """Without a trace a run keeps only one 8-byte array, the deviations:
+    no costs, and no U and W paths, whatever r is, also when the
+    invariants are checked.  At most 10 bytes per extra slot (about 14.5
+    with a second, per-coordinate deviation array, 29.5 and 56 before the
+    means were streamed, 232 with the checks before they ran per block)."""
     handle = scenarios.by_name(name)
-    assert handle.u_star is not None  # so the run keeps its deviation arrays
+    assert handle.u_star is not None  # so the run keeps its deviation array
     peaks = [_traced_peak(RunConfig(scenario=handle, V=100.0, algorithm="fqla-ideal",
                                     slots=slots, seed=3, check_invariants=check))
              for slots in (20_000, 40_000)]
-    assert (peaks[1] - peaks[0]) / 20_000 <= 20.0
+    assert (peaks[1] - peaks[0]) / 20_000 <= 10.0
 
 
 def _traced_peak_many(configs):
@@ -106,7 +106,7 @@ def _traced_peak_many(configs):
 def test_run_many_memory_does_not_grow_with_run_length(contq):
     """run_many keeps no per-slot series: 4 runs of 10k slots peak where 4
     runs of 5k do, within 1 byte per extra slot (their deviation arrays
-    alone would add 4 x 16)."""
+    alone would add 4 x 8)."""
     peaks = [_traced_peak_many([RunConfig(scenario=contq, V=V, algorithm="fqla-ideal",
                                           slots=slots, seed=seed)
                                 for V in (100.0, 1000.0) for seed in (3, 4)])
@@ -289,8 +289,6 @@ def test_deviation_record_and_histograms(five):
     n = rep.slots - rep.burn_in
     assert rep.deviations.shape == (n,)
     np.testing.assert_array_equal(rep.deviation_reference, five.u_star(50.0))
-    # norm deviation dominates the per-coordinate one
-    assert (rep.deviations >= rep.per_coord_deviations - 1e-12).all()
 
 
 def test_deviation_reference_override(five):
@@ -329,10 +327,9 @@ def test_curve_validation():
 
 def test_deviation_curve_is_monotone_in_unit_range(five):
     rep = run(RunConfig(scenario=five, V=50.0, slots=60_000, seed=1))
-    for per_coord in (False, True):
-        curve = deviation_statistics(rep, 5.0, per_coord=per_coord)
-        assert (curve.p >= 0.0).all() and (curve.p <= 1.0).all()
-        assert (np.diff(curve.p) <= 0.0).all()
+    curve = deviation_statistics(rep, 5.0)
+    assert (curve.p >= 0.0).all() and (curve.p <= 1.0).all()
+    assert (np.diff(curve.p) <= 0.0).all()
 
 
 def test_deviation_statistics_needs_reference(five):

@@ -8,10 +8,12 @@ in BENCHMARK.json and every seed runs ``perfbench/run.py --workload W
 --seed S --seconds N --trace 0`` once in each tree, the two sides taking
 turns at running first.  N is BENCHMARK.json's ``run_seconds``.  The last
 line each run prints goes into ``BENCH_main-<base sha>.json`` and
-``BENCH_<label>.json`` at the repository root, and a table of medians,
+``BENCH_<label>.json`` at the repository root, with the tree's
+``src/lyapnet/*.py`` line count (``src_lines``), and a table of medians,
 parent quartiles, pair wins and a verdict (gain, worse, unresolved or
-within bound; see ``verdict``) per workload and metric is printed.  The
-exported trees are deleted afterwards, also when a run fails.
+within bound; see ``verdict``) per workload and metric is printed after
+both line counts.  The exported trees are deleted afterwards, also when
+a run fails.
 """
 
 from __future__ import annotations
@@ -48,6 +50,11 @@ def export(sha: str, dest: Path) -> Path:
     if proc.returncode:
         raise RuntimeError(f"git archive {sha} exited with {proc.returncode}")
     return dest
+
+
+def src_lines(tree: Path) -> int:
+    """Lines of ``src/lyapnet/*.py`` under ``tree``, counted as ``wc -l`` counts them."""
+    return sum(f.read_bytes().count(b"\n") for f in (tree / "src" / "lyapnet").glob("*.py"))
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -156,6 +163,7 @@ def main(argv=None) -> int:
     scratch = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     try:
         trees = {side: export(sha, scratch / side) for side, (_, sha) in sides.items()}
+        lines = {side: src_lines(tree) for side, tree in trees.items()}
         k = 0
         for w in [wl["name"] for wl in spec["workloads"]]:
             for seed in args.seeds:
@@ -176,7 +184,7 @@ def main(argv=None) -> int:
     for side, other in (("base", "head"), ("head", "base")):
         label, sha = sides[side]
         doc = {"label": label, "commit": sha, "harness": HARNESS.format(seconds=seconds),
-               "machine": machine(),
+               "machine": machine(), "src_lines": lines[side],
                "pairing": (f"each run was paired with the run of the same workload, seed and "
                            f"--trace in BENCH_{sides[other][0]}.json; the two sides alternated "
                            "which ran first (field ran)"),
@@ -184,6 +192,8 @@ def main(argv=None) -> int:
         path = ROOT / f"BENCH_{label}.json"
         path.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
         print(f"wrote {path.name}")
+    print(f"src/lyapnet/*.py lines: parent {lines['base']}, change {lines['head']} "
+          f"({lines['head'] - lines['base']:+d})")
     print("\n".join(summarize(runs["base"], runs["head"], spec["end_to_end"])))
     return 0
 
