@@ -27,16 +27,13 @@ from ._svg import Series, write_chart
 from .dual import ConvergenceError, evaluate_dual, find_optimal_multiplier
 from .model import ValidationError, spec_to_dict
 from .sched import ALGORITHMS
+from .sim import _fmt
 
 __all__ = ["main"]
 
 
 class UsageError(Exception):
     pass
-
-
-def _fmt(x) -> str:
-    return "%.12g" % float(x)
 
 
 def _env_seed() -> int:
@@ -498,20 +495,11 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except UsageError as e:
+    except (UsageError, ValidationError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except ValidationError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ConvergenceError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (simulation.SimInvariantError, simulation.TailFitError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (ConvergenceError, simulation.SimInvariantError, ValueError, OSError) as e:
+        print(f"error: {e}", file=sys.stderr)  # a TailFitError is a ValueError
         return 1
 
 

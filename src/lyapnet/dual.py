@@ -90,8 +90,10 @@ class GeometryEstimate:
 
     ``kind`` is "polyhedral" when the directional decay rate
     (q(U*) - q(U)) / ||U - U*|| is stable across two probe radii, else
-    "smooth" with L fitted from quadratic decay.  L is taken as a minimum
-    over probes, so it is a valid modulus for the matching lower bound.
+    "smooth" with L fitted from quadratic decay.  L is the minimum of the
+    sampled decay ratios, so it is an upper estimate of the true modulus,
+    not a guaranteed valid one: on the five-queue chain it reads 0.1608
+    against the exact 1/(4 sqrt 5) = 0.1118.
     """
 
     kind: str
@@ -195,7 +197,7 @@ def _check_multiplier(u, r: int) -> np.ndarray:
 
 
 def _check_V(V) -> None:
-    if not (V > 0 and math.isfinite(V)):
+    if isinstance(V, (bool, np.bool_)) or not (V > 0 and math.isfinite(V)):
         raise ValueError(f"V must be positive and finite, got {V!r}")
 
 
@@ -537,7 +539,10 @@ def estimate_geometry(scenario, u_star0=None, probe_radius: float = 0.5,
     directions kept inside the nonnegative orthant.  A stable minimum
     decay ratio across radii (change < ratio_tol) means piecewise-linear
     growth away from U*_0 (polyhedral, L = the stable ratio); otherwise
-    decay is fitted as L ||U - U*_0||^2 (smooth).
+    decay is fitted as L ||U - U*_0||^2 (smooth).  For a concave q each
+    ratio is at least the directional slope, and a minimum over sampled
+    directions is at least the minimum over all of them, so L is an upper
+    estimate of the true modulus.
     """
     handle = as_handle(scenario)
     spec = handle.spec

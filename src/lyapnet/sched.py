@@ -145,11 +145,11 @@ def fqla_general_estimate(scenario, V: float, T: "int | None" = None, K: int = 2
     ``run(seed=s, stream=0, algorithm="fqla-general")`` hands over, so the
     warmups never share the states of a run's stream.
 
-    The K runs advance together, one slot of all K per step, and keep no
-    paths, so memory does not grow with T; each terminal backlog is
-    bit-identical to the one a single run on the same stream reaches.
-    Finite tables step with the lockstep kernel, continuous families with
-    the batched greedy loop.
+    The K warmups are one batched greedy run of the simulation kernel with
+    the whole of T as burn-in, an empty statistics window: they advance
+    together, one slot of all K per step, and keep no paths, so memory does
+    not grow with T; each terminal backlog is bit-identical to the one a
+    single run on the same stream reaches.
     """
     from . import sim
 
@@ -162,12 +162,8 @@ def fqla_general_estimate(scenario, V: float, T: "int | None" = None, K: int = 2
     if not isinstance(rng, np.random.Generator):
         rng = substream(int(rng), 0, 1)
     streams = rng.spawn(K)
-    spec = handle.spec
-    if spec.is_finite:
-        finals = sim._lockstep_finals(spec, V, T, streams)
-    else:
-        runs = sim._loop(spec, [V] * K, streams, T, np.zeros((K, spec.r)), 0)
-        finals = np.array([lp.final_w for lp in runs])
+    runs = sim._loop(handle.spec, [V] * K, streams, T, np.zeros((K, handle.spec.r)), T)
+    finals = np.array([lp.final_w for lp in runs])
     w_mean = finals.mean(axis=0)
     placeholders = np.maximum(w_mean - math.log(V) ** 2, 0.0)
     return GeneralEstimate(placeholders, w_mean, T, K)

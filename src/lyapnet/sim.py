@@ -222,12 +222,12 @@ class AbsorptionReport:
 #      steps below ran 1.35x to 2x slower on single-queue-continuous and
 #      2.4x to 4x slower on the five-queue chain);
 #    - R > 1, finite tables: _stacked_step, one take/matmul/argmax over
-#      the padded tables for all R runs, which _lockstep_finals also uses.
-#      It only pays from _STACKED_MIN_R runs (10k-20k slot groups of
-#      two-queue and the five-queue chain, best of 7: 0.63x-0.76x the speed
-#      of R single-run calls at R = 2, 0.91x-1.27x at R = 3, 1.07x-1.39x at
-#      R = 4, 2.1x-2.6x at R = 8), so _run_batched gives a smaller finite
-#      group one R = 1 call per run;
+#      the padded tables for all R runs, with V * cost from a stack built
+#      once per distinct V.  It only pays from _STACKED_MIN_R runs (10k-20k
+#      slot groups of two-queue and the five-queue chain, best of 7:
+#      0.63x-0.76x the speed of R single-run calls at R = 2, 0.91x-1.27x at
+#      R = 3, 1.07x-1.39x at R = 4, 2.1x-2.6x at R = 8), so _run_batched
+#      gives a smaller finite group one R = 1 call per run;
 #    - R > 1, continuous families: each run's dual_argmin, cost, arrivals
 #      and services, then one vectorized W law per slot (already 1.04x-1.32x
 #      the speed of two single-run calls at R = 2 on single-queue-continuous,
@@ -249,11 +249,10 @@ class AbsorptionReport:
 # run's whole series.  A run computes in its current block only; a trace
 # is a copy of each finished block into whole-run arrays, and the
 # invariant scan checks each block as it finishes (both for R = 1 only).
-# _lockstep_finals advances many greedy runs of one V with _stacked_step
-# and keeps only their current backlogs; the placeholder warmups use it on
-# finite tables (_loop at R > 1 ran them 1.13x-1.78x slower).
+# Finite runs at R > 1 without placeholders start with a burn-in prologue
+# that only advances W (see _loop); a placeholder warmup is all prologue.
 
-_CHUNK = 256  # run-slots per block: bookkeeping in _loop, state draws in _lockstep_finals
+_CHUNK = 256  # run-slots per block; slots per state draw in the burn-in prologue
 _STACKED_MIN_R = 4  # fewest finite runs that _run_batched puts through one _loop call
 
 
@@ -363,7 +362,9 @@ class _WindowMean:
                 self._sum = 0.0 + done.value
 
     def mean(self):
-        """(R,) for lines, else (R, r)."""
+        """(R,) for lines, else (R, r); NaN for n = 0, an empty window nobody reads."""
+        if self.n == 0:
+            return np.full((self.R,) if self.r is None else (self.R, self.r), np.nan)
         m = self._sum / self.n
         return m[:, None] if self.r == 1 else m
 
@@ -440,19 +441,24 @@ def _loop(spec, V, rngs, slots, w0, burn, wl=None, ref=None, paths=False, check=
     reference point ``ref`` ((R, r)), 8 bytes per slot, None without one.
 
     Each block of rows = max(1, _CHUNK // R) slots draws every run's states
-    with sample_states, which consumes a generator exactly like one draw of
-    ``slots`` states, runs the decisions and the W queue law slot by slot
-    (see the core-loop comment for the code each R takes), then derives
-    the block's costs, admissions, drops, U (see _queue_path), violations,
-    deviations and window sums from the W rows and actions with array
-    operations; _WindowMean turns the sums into numpy's means.  W and U
-    live in (rows + 1, R, r) buffers whose row 0 carries the last row of
-    the block before, so the runs keep O(_CHUNK r) of them plus the
-    deviations, whatever their length and R.  ``check`` and ``paths`` need
-    R = 1.  With ``check`` each block goes through _invariant_scan, which
-    raises at its first offending slot.  With ``paths`` each block is also
-    copied out into the trace: the costs, states, actions, drops per slot
-    (None without placeholders) and the (slots + 1, r) U and W paths.
+    with sample_states into one state buffer, column by column (a generator
+    is consumed exactly like one draw of ``slots`` states), runs the
+    decisions and the W queue law slot by slot (see the core-loop comment
+    for the code each R takes), then derives the block's costs, admissions,
+    drops, U (see _queue_path), violations, deviations and window sums from
+    the W rows and actions with array operations; _WindowMean turns the
+    sums into numpy's means.  W and U live in (rows + 1, R, r) buffers
+    whose row 0 carries the last row of the block before, so the runs keep
+    O(_CHUNK r) of them plus the deviations, whatever their length and R.
+    Finite runs at R > 1 without placeholders only advance W through the
+    slots before ``burn``, in a prologue that draws _CHUNK slots per run at
+    a time; ``burn`` = ``slots`` leaves an empty window, whose means are
+    NaN, for callers that read only the final backlogs.  ``check`` and
+    ``paths`` need R = 1.  With ``check`` each block goes through
+    _invariant_scan, which raises at its first offending slot.  With
+    ``paths`` each block is also copied out into the trace: the costs,
+    states, actions, drops per slot (None without placeholders) and the
+    (slots + 1, r) U and W paths.
     """
     R, r = len(rngs), spec.r
     assert R == 1 or not (paths or check), "traces and invariant scans are single-run"
@@ -472,14 +478,27 @@ def _loop(spec, V, rngs, slots, w0, burn, wl=None, ref=None, paths=False, check=
         bad = _sandwich_bad(U[:1], W[:1], wl, spec.delta_max).sum(axis=(0, 2))
     dev = None if ref is None else np.empty((R, window))
     finite = spec.is_finite
+    prologue = finite and R > 1 and wl is None
+    idx = np.empty((_CHUNK if prologue else rows, R), dtype=np.int64)  # the states
+
+    def draw(n):  # each run's next n states, column by column
+        for k, g in enumerate(rngs):
+            idx[:n, k] = sample_states(spec, g, n)
+        return idx[:n]
+
     if finite:
         tab = tables(spec)
         acts = np.empty((rows, R), dtype=np.int64)
         if R == 1:
             sma, arr, svc = tab.sma, tab.arr_rows, tab.svc_rows
             vcost = [V[0] * c for c in tab.cost]
-        else:
-            step, vcol = _stacked_step(tab), np.array(V, dtype=float)[:, None]
+        else:  # V * cost once per distinct V; run k finds state i's row at i + voff[k]
+            step = _stacked_step(tab)
+            Vs, vk = np.unique(np.array(V, dtype=float), return_inverse=True)
+            vcost = np.empty((len(Vs),) + tab.cost_pad.shape)
+            for v, c in zip(Vs, vcost):  # one product per V: a broadcast one buffers 3x its size
+                np.multiply(v, tab.cost_pad, out=c)
+            vcost, voff = vcost.reshape(-1, vcost.shape[2]), vk * spec.n_states
     else:
         fams = [st.actions for st in spec.states]
         acts = np.empty((rows, R))
@@ -490,11 +509,16 @@ def _loop(spec, V, rngs, slots, w0, burn, wl=None, ref=None, paths=False, check=
         t_U, t_drops = (t_W, None) if wl is None else (np.empty_like(t_W), np.empty(slots))
         t_W[0], t_U[0] = W[0, 0], U[0, 0]
     zero = np.zeros(())  # an array zero spares np.maximum a scalar conversion
-    for t0 in range(0, slots, rows):
+    if prologue:  # nothing reads the slots before burn but W: advance it in place
+        w = W[0]
+        for t0 in range(0, burn, _CHUNK):
+            for i in draw(min(_CHUNK, burn - t0)):
+                step(i, vcost.take(i + voff, axis=0), w, w)
+    for t0 in range(burn if prologue else 0, slots, rows):
         t1 = min(t0 + rows, slots)
         n = t1 - t0
         Wb, Ub, ks, cb = W[:n + 1], U[:n + 1], acts[:n], costs[:n]
-        states = np.stack([sample_states(spec, g, n) for g in rngs], axis=1)
+        states = draw(n)
         if finite:
             if R == 1:
                 k_list, w = [], Wb[0, 0]
@@ -508,9 +532,7 @@ def _loop(spec, V, rngs, slots, w0, burn, wl=None, ref=None, paths=False, check=
                 ks[:, 0] = k_list
             else:
                 for t, i in enumerate(states):
-                    vc = tab.cost_pad.take(i, axis=0)
-                    vc *= vcol
-                    ks[t] = step(i, vc, Wb[t], Wb[t + 1])
+                    ks[t] = step(i, vcost.take(i + voff, axis=0), Wb[t], Wb[t + 1])
             cb[:] = tab.cost_pad[states, ks]
             a = tab.arr_pad[states, ks]
             mu = tab.svc_pad[states, ks] if wl is not None else None
@@ -580,34 +602,29 @@ def _loop(spec, V, rngs, slots, w0, burn, wl=None, ref=None, paths=False, check=
     return out
 
 
-def _lockstep_finals(spec, V, T, streams):
-    """Final backlogs (R, r) of R greedy runs of T slots from U(0) = 0.
-
-    Run k draws its states from ``streams[k]``.  The runs advance together,
-    one _stacked_step of all R per slot, and keep only their current
-    backlogs.  States are drawn in chunks of _CHUNK slots per stream;
-    consecutive draws consume a generator exactly like one draw of T
-    states, so row k equals the ``final_w`` of a single _loop run of T
-    slots on ``streams[k]`` bit for bit.  Memory is O(R (r + _CHUNK))
-    whatever T is.
-    """
-    tab = tables(spec)
-    step, vcost = _stacked_step(tab), V * tab.cost_pad
-    u = np.zeros((len(streams), spec.r))
-    for start in range(0, T, _CHUNK):
-        n = min(_CHUNK, T - start)
-        idx = np.stack([sample_states(spec, g, n) for g in streams], axis=1)
-        for i in idx:
-            step(i, vcost.take(i, axis=0), u, u)
-    return u
-
-
 # -- run ---------------------------------------------------------------------
+
+
+def _integer(name: str, x, lo: int) -> int:
+    """x as an int of at least lo (a bool is none); a ValueError naming ``name`` otherwise."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or x < lo:
+        raise ValueError(f"{name} must be an integer >= {lo}, got {x!r}")
+    return int(x)
+
+
+def _levels(name: str, x, r: int) -> np.ndarray:
+    """x as r finite, nonnegative floats; a ValueError naming ``name`` otherwise."""
+    v = np.asarray(x, dtype=float)
+    if v.shape != (r,):
+        raise ValueError(f"{name} must have shape ({r},), got {v.shape}")
+    if not (np.isfinite(v) & (v >= 0)).all():
+        raise ValueError(f"{name} must be {r} finite, nonnegative levels, got {v}")
+    return v
 
 
 def _resolve_u_star(handle: ScenarioHandle, config: RunConfig):
     if config.deviation_reference is not None:
-        return np.asarray(config.deviation_reference, dtype=float)
+        return _levels("deviation_reference", config.deviation_reference, handle.spec.r)
     if handle.u_star is not None:
         return np.asarray(handle.u_star(config.V), dtype=float)
     return None
@@ -615,11 +632,7 @@ def _resolve_u_star(handle: ScenarioHandle, config: RunConfig):
 
 def _resolve_placeholders(handle: ScenarioHandle, config: RunConfig) -> np.ndarray:
     if config.placeholders is not None:
-        wl = np.asarray(config.placeholders, dtype=float)
-        if wl.shape != (handle.spec.r,) or not (np.isfinite(wl) & (wl >= 0)).all():
-            raise ValueError(f"placeholders must be {handle.spec.r} finite, nonnegative levels, "
-                             f"got {wl}")
-        return wl
+        return _levels("placeholders", config.placeholders, handle.spec.r)
     V = config.V
     if config.algorithm == "fqla-ideal":
         u_star = _resolve_u_star(handle, config)
@@ -669,9 +682,9 @@ def _setup(config: RunConfig) -> _Setup:
     spec = handle.spec
     if config.algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {config.algorithm!r}; choose from {ALGORITHMS}")
-    if config.slots < 1:
-        raise ValueError(f"slots must be positive, got {config.slots}")
+    slots = _integer("slots", config.slots, 1)
     _check_V(config.V)
+    _integer("seed", config.seed, 0)
     if config.algorithm == "qla" and config.placeholders is not None:
         raise ValueError("placeholders apply to the fqla-* algorithms only, not qla")
     if config.algorithm != "qla" and config.initial_backlog is not None:
@@ -679,16 +692,10 @@ def _setup(config: RunConfig) -> _Setup:
                          "starts W at its placeholders")
     u0 = np.zeros(spec.r)
     if config.initial_backlog is not None:
-        u0 = np.asarray(config.initial_backlog, dtype=float)
-        if u0.shape != (spec.r,):
-            raise ValueError(f"initial_backlog must have shape ({spec.r},), got {u0.shape}")
-        if not (np.isfinite(u0) & (u0 >= 0)).all():
-            raise ValueError(f"initial_backlog must be finite and nonnegative, got {u0}")
-    slots = int(config.slots)
-    burn_in = config.burn_in
-    if burn_in is None:
-        burn_in = default_burn_in(config.V, slots)
-    if not (0 <= burn_in < slots):
+        u0 = _levels("initial_backlog", config.initial_backlog, spec.r)
+    burn_in = (default_burn_in(config.V, slots) if config.burn_in is None
+               else _integer("burn_in", config.burn_in, 0))
+    if burn_in >= slots:
         raise ValueError(f"burn_in must lie in [0, slots), got {burn_in}")
     u_star = _resolve_u_star(handle, config)
     wl = _resolve_placeholders(handle, config) if config.algorithm != "qla" else None

@@ -14,11 +14,11 @@ from xml.sax.saxutils import escape
 import numpy as np
 import pytest
 
-from lyapnet import _svg, scenarios
+from lyapnet import _svg, cli, scenarios
 from lyapnet import sim as simulation
 from lyapnet.cli import main
-from lyapnet.dual import evaluate_dual
-from lyapnet.model import spec_to_dict
+from lyapnet.dual import ConvergenceError, evaluate_dual
+from lyapnet.model import ValidationError, spec_to_dict
 
 
 def _lines(path):
@@ -371,6 +371,25 @@ def test_analyze_rejects_csv_without_trace_header(header, tmp_path, capsys):
                  "--trace", str(stub), "--mode", "tail"])
     assert code == 2
     assert "not a trace CSV" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error,code", [
+    (cli.UsageError("bad flag"), 2),
+    (ValidationError("states[0].p", "must be positive"), 2),
+    (ConvergenceError("search did not converge"), 1),
+    (simulation.SimInvariantError("backlog went negative", 3, 0, [-1.0]), 1),
+    (simulation.TailFitError("insufficient tail mass"), 1),
+    (ValueError("bad value"), 1),
+    (OSError("disk full"), 1),
+], ids=lambda x: type(x).__name__ if isinstance(x, Exception) else str(x))
+def test_subcommand_errors_map_to_exit_codes(error, code, tmp_path, monkeypatch, capsys):
+    def fail(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_export_scenario", fail)
+    assert main(["export-scenario", "--scenario", "two-queue",
+                 "--out", str(tmp_path / "x.json")]) == code
+    assert capsys.readouterr().err == f"error: {error}\n"
 
 
 def test_analyze_missing_trace_exits_1(tmp_path, capsys):

@@ -240,22 +240,24 @@ def test_lockstep_warmups_equal_single_runs(name, T, K, as_generator):
     assert np.array_equal(est.w_terminal_mean, want)
 
 
-def test_continuous_warmups_memory_does_not_grow_with_T(contq):
-    """The continuous warmups keep no paths: K = 2 runs of T = 16 _CHUNK
-    slots peak within a few KB of T = 4 _CHUNK (numpy's small-block caches
-    and the deeper pairwise-sum tree), below the 8 r bytes per extra slot
-    that the W path of even one run would add."""
-    fqla_general_estimate(contq, 50.0, T=4 * CHUNK, K=2, rng=0)
+@pytest.mark.parametrize("name", ["single-queue-continuous", "five-queue-chain"])
+def test_warmups_memory_does_not_grow_with_T(name):
+    """The warmups keep no paths, on continuous families and, through the
+    burn-in prologue, on finite tables: K = 2 runs of T = 16 _CHUNK slots
+    peak within a few KB of T = 4 _CHUNK (numpy's small-block caches), below
+    the 8 r bytes per extra slot that the W path of even one run would add."""
+    handle = scenarios.by_name(name)
+    fqla_general_estimate(handle, 50.0, T=4 * CHUNK, K=2, rng=0)
     peaks = []
     for T in (4 * CHUNK, 16 * CHUNK):
         gc.collect()  # otherwise the peak moves with the cyclic collector's timing
         tracemalloc.start()
         try:
-            fqla_general_estimate(contq, 50.0, T=T, K=2, rng=0)
+            fqla_general_estimate(handle, 50.0, T=T, K=2, rng=0)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert peaks[1] - peaks[0] < 8 * contq.spec.r * 12 * CHUNK
+    assert peaks[1] - peaks[0] < 8 * handle.spec.r * 12 * CHUNK
 
 
 # -- bisection ---------------------------------------------------------------

@@ -114,6 +114,19 @@ def test_run_many_memory_does_not_grow_with_run_length(contq):
     assert (peaks[1] - peaks[0]) / 5_000 <= 1.0
 
 
+def test_run_many_stacked_qla_group_matches_run(five):
+    """Six qla configs at three V form one stacked group: its burn-in
+    prologue crosses two _CHUNK edges and reads V * cost from a stack of
+    three, then the blocks run on.  Each report equals run()'s."""
+    chunk = sim._CHUNK
+    configs = [RunConfig(scenario=five, V=V, slots=3 * chunk + 40, burn_in=2 * chunk + 17,
+                         seed=seed, stream=seed % 2)
+               for V in (20.0, 50.0, 120.0) for seed in (5, 6)]
+    assert len(configs) >= sim._STACKED_MIN_R
+    for got, cfg in zip(sim.run_many(configs), configs):
+        _report_equal(got, dataclasses.replace(run(cfg), deviations=None))
+
+
 @pytest.mark.parametrize("kw", [{"record_trace": True}, {"check_invariants": True}])
 def test_run_many_rejects_per_slot_requests(five, kw):
     with pytest.raises(ValueError, match="use run"):
@@ -167,6 +180,17 @@ def test_burn_in_default_rule(five):
     (dict(algorithm="fqla-general", initial_backlog=np.ones(5)),
      "initial_backlog applies to qla"),
     (dict(algorithm="fqla-bisect", initial_backlog=np.ones(5)), "initial_backlog applies to qla"),
+    (dict(slots=1000.7), "slots must be an integer"),
+    (dict(slots=True), "slots must be an integer"),
+    (dict(burn_in=10.5), "burn_in must be an integer"),
+    (dict(burn_in=True), "burn_in must be an integer"),
+    (dict(V=True), "V must be positive and finite"),
+    (dict(seed=-1), r"seed must be an integer >= 0, got -1"),
+    (dict(deviation_reference=np.ones(1)), r"deviation_reference must have shape \(5,\)"),
+    (dict(deviation_reference=np.array([1.0, np.nan, 1.0, 1.0, 1.0])),
+     "deviation_reference must be 5 finite, nonnegative levels"),
+    (dict(deviation_reference=np.array([1.0, 1.0, 1.0, 1.0, -1.0])),
+     "deviation_reference must be 5 finite, nonnegative levels"),
 ])
 def test_run_config_validation(five, kw, msg):
     base = dict(scenario=five, V=50.0, slots=5_000, seed=0)
