@@ -89,7 +89,6 @@ def _make_config(args, handle, V: float, seed: int) -> simulation.RunConfig:
         check_invariants=getattr(args, "check_invariants", False),
         deviation_reference=_maybe_vector(args, "reference", r),
         placeholders=_maybe_vector(args, "placeholders", r),
-        regime=args.regime,
         general_T=args.general_T,
         general_K=args.general_K,
         bisect_T1=args.bisect_T1,
@@ -364,12 +363,10 @@ def cmd_analyze(args) -> int:
     wl = _maybe_vector(args, "placeholders", r)
     if wl is None:
         wl = w[0].copy()  # FQLA starts from W(0) = placeholder levels
-    floor = np.maximum(w - wl, 0.0)
     # the trace keeps 12 significant digits, so each of U, W and the
     # placeholders may be off by 5e-12 of its magnitude
     tol = 1e-9 + 1e-11 * (np.abs(u) + np.abs(w) + np.abs(wl))
-    bad = (u < floor - tol) | (u > floor + spec.delta_max + tol)
-    violations = int(bad.sum())
+    violations = int(simulation._sandwich_bad(u, w, wl, spec.delta_max, tol).sum())
     print("placeholders = (" + ", ".join(_fmt(x) for x in wl) + ")")
     print(f"violations: {violations}")
     return 0 if violations == 0 else 1
@@ -413,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_flags.add_argument("--burn-in", dest="burn_in", type=int, default=None)
     run_flags.add_argument("--placeholders", default=None,
                            help="override placeholder levels, comma-separated")
-    run_flags.add_argument("--regime", choices=("polyhedral", "smooth"), default=None)
     run_flags.add_argument("--general-T", dest="general_T", type=int, default=None)
     run_flags.add_argument("--general-K", dest="general_K", type=int, default=20)
     run_flags.add_argument("--bisect-T1", dest="bisect_T1", type=int, default=None)

@@ -12,9 +12,10 @@ geometry to the backlog process: the backlog vector behaves like a noisy
 subgradient iterate and concentrates near the dual maximizer U*_V.
 
 This module evaluates q and its subgradient, runs deterministic (OSM) and
-randomized incremental (RISM) subgradient steps, locates U*_V, probes the
-local geometry of the dual (polyhedral vs smooth), checks the structural
-assumptions (slackness, scaling, subgradient inequality), and computes the
+randomized incremental (RISM) subgradient steps, locates U*_V, estimates
+the modulus of the dual near it (polyhedral for finite action tables,
+smooth for continuous families), checks the structural assumptions
+(slackness, scaling, subgradient inequality), and computes the
 attraction-theorem constants.
 
 U*_V is found by one exact LP when every state has a finite action table
@@ -26,7 +27,6 @@ queues have no numeric search.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -88,12 +88,14 @@ class MultiplierResult:
 class GeometryEstimate:
     """Local shape of q at V=1 near its maximizer.
 
-    ``kind`` is "polyhedral" when the directional decay rate
-    (q(U*) - q(U)) / ||U - U*|| is stable across two probe radii, else
-    "smooth" with L fitted from quadratic decay.  L is the minimum of the
-    sampled decay ratios, so it is an upper estimate of the true modulus,
-    not a guaranteed valid one: on the five-queue chain it reads 0.1608
-    against the exact 1/(4 sqrt 5) = 0.1118.
+    ``kind`` follows from the action set: "polyhedral" when every state
+    has a finite action table (q is then piecewise linear), with L the
+    minimum sampled decay ratio (q(U*) - q(U)) / ||U - U*||, else "smooth",
+    with L fitted from quadratic decay.  ``ratios`` holds the minimum
+    linear decay ratio at each probe radius for both kinds.  A minimum
+    over sampled directions is an upper estimate of the true modulus, not
+    a guaranteed valid one: on the five-queue chain L reads 0.1608 against
+    the exact 1/(4 sqrt 5) = 0.1118.
     """
 
     kind: str
@@ -187,13 +189,14 @@ def _state_argmin(spec: NetworkSpec, V: float, i: int, u: np.ndarray):
     return k, float(tab.cost[i][k]), tab.arr_rows[i][k], tab.svc_rows[i][k]
 
 
-def _check_multiplier(u, r: int) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    if u.shape != (r,):
-        raise ValueError(f"multiplier must have shape ({r},), got {u.shape}")
-    if (u < 0).any():
-        raise ValueError(f"multiplier must be entrywise nonnegative, got {u}")
-    return u
+def _levels(name: str, x, r: int) -> np.ndarray:
+    """x as r finite, nonnegative floats; a ValueError naming ``name`` otherwise."""
+    v = np.asarray(x, dtype=float)
+    if v.shape != (r,):
+        raise ValueError(f"{name} must have shape ({r},), got {v.shape}")
+    if not (np.isfinite(v) & (v >= 0)).all():
+        raise ValueError(f"{name} must be {r} finite, nonnegative levels, got {v}")
+    return v
 
 
 def _check_V(V) -> None:
@@ -207,7 +210,7 @@ def evaluate_dual(spec: NetworkSpec, V: float, u) -> DualEval:
     The subgradient is G_j = sum_i p_i (g_j - b_j) at the per-state
     minimizers; its Euclidean norm never exceeds B.
     """
-    u = _check_multiplier(u, spec.r)
+    u = _levels("multiplier", u, spec.r)
     _check_V(V)
     value = 0.0
     G = np.zeros(spec.r)
@@ -223,7 +226,7 @@ def evaluate_dual(spec: NetworkSpec, V: float, u) -> DualEval:
 
 def per_state_dual(spec: NetworkSpec, V: float, state: int, u) -> tuple[float, "int | float"]:
     """Minimum and minimizer of the single-state dual term at multiplier u."""
-    u = _check_multiplier(u, spec.r)
+    u = _levels("multiplier", u, spec.r)
     k, cost, arr, svc = _state_argmin(spec, V, state, u)
     return V * cost + float((arr - svc) @ u), k
 
@@ -235,40 +238,20 @@ def per_state_optimum(spec: NetworkSpec, V: float, state: int) -> float:
     largest maximizer no minimizing action can decrease the backlog, which
     is what makes the absorbing interval work.  Returns +inf when the
     function never starts decreasing (the state only pushes the backlog
-    up).  Finite action tables are scanned at their breakpoints;
-    continuous families are bisected on the minimizer's service rate.
+    up).  It is the last float u at which the state's minimizing action,
+    as _state_argmin picks it, does not drain the queue (service <= arrival
+    + 1e-12); the minimizer's net drain is nondecreasing in u, so that set
+    is an interval and bisection finds its end, for finite tables and
+    continuous families alike.
     """
     if spec.r != 1:
         raise ValueError("per-state optima are defined for single-queue scenarios")
-    st = spec.states[state]
-    if isinstance(st.actions, ContinuousActions):
-        return _continuous_state_optimum(spec, V, state, st.actions)
-    tab = tables(spec)
-    c = V * tab.cost[state]
-    d = -tab.sma[state][:, 0]  # arrivals minus services
-    if d.min() >= 0.0:
-        return math.inf
-    zs = {0.0}
-    for x, y in itertools.combinations(range(len(d)), 2):
-        if d[x] != d[y]:
-            z = (c[y] - c[x]) / (d[x] - d[y])
-            if z > 0:
-                zs.add(float(z))
-    z_arr = np.array(sorted(zs))
-    env = (c[None, :] + z_arr[:, None] * d[None, :]).min(axis=1)
-    top = env.max()
-    tol = 1e-9 * max(1.0, abs(top))
-    return float(z_arr[env >= top - tol].max())
 
+    def fills(u1: float) -> bool:
+        _, _, arr, svc = _state_argmin(spec, V, state, np.array([u1]))
+        return float(svc[0]) <= float(arr[0]) + 1e-12
 
-def _continuous_state_optimum(spec: NetworkSpec, V: float, state: int,
-                              fam: ContinuousActions) -> float:
-    # Largest u with arrival rate >= minimizing service rate; the minimizer's
-    # rate is nondecreasing in u, so the set is an interval and bisection works.
-    a = float(fam.arrivals(fam.dual_argmin(V, np.zeros(1)))[0])
-    return _last_true(
-        lambda u1: float(fam.services(fam.dual_argmin(V, np.array([u1])))[0]) <= a + 1e-12,
-        max(1.0, V))
+    return _last_true(fills, max(1.0, V))
 
 
 def _last_true(pred, hi: float) -> float:
@@ -309,7 +292,7 @@ def rism_step(spec: NetworkSpec, V: float, u, state: int, alpha: float = 1.0) ->
     minimizing action; with alpha = 1 this is exactly the idle-fill queue
     update under the greedy decision.
     """
-    u = _check_multiplier(u, spec.r)
+    u = _levels("multiplier", u, spec.r)
     _, _, arr, svc = _state_argmin(spec, V, state, u)
     return np.maximum(u - alpha * svc, 0.0) + alpha * arr
 
@@ -476,8 +459,8 @@ def check_scaling(scenario, V_list: Sequence[float], tol: float = 1e-9) -> Scali
 def check_subgradient_inequality(spec: NetworkSpec, V: float, u, u_hat,
                                  tol: float = 1e-9) -> bool:
     """Concavity certificate: (u_hat - u) . G_u >= q(u_hat) - q(u) - tol."""
-    u = _check_multiplier(u, spec.r)
-    u_hat = _check_multiplier(u_hat, spec.r)
+    u = _levels("multiplier", u, spec.r)
+    u_hat = _levels("multiplier", u_hat, spec.r)
     ev = evaluate_dual(spec, V, u)
     q_hat = evaluate_dual(spec, V, u_hat).value
     return float((u_hat - u) @ ev.subgradient) >= q_hat - ev.value - tol
@@ -531,16 +514,15 @@ def check_slackness(spec: NetworkSpec, epsilon: float) -> SlacknessResult:
 
 def estimate_geometry(scenario, u_star0=None, probe_radius: float = 0.5,
                       n_directions: int = 64,
-                      rng: "np.random.Generator | int | None" = None,
-                      ratio_tol: float = 0.2) -> GeometryEstimate:
-    """Classify the V=1 dual's local shape at its maximizer and estimate L.
+                      rng: "np.random.Generator | int | None" = None) -> GeometryEstimate:
+    """Estimate the modulus L of the V=1 dual at its maximizer.
 
     Probes q at two radii (probe_radius and its double) along random
-    directions kept inside the nonnegative orthant.  A stable minimum
-    decay ratio across radii (change < ratio_tol) means piecewise-linear
-    growth away from U*_0 (polyhedral, L = the stable ratio); otherwise
-    decay is fitted as L ||U - U*_0||^2 (smooth).  For a concave q each
-    ratio is at least the directional slope, and a minimum over sampled
+    directions kept inside the nonnegative orthant.  Finite action tables
+    make q piecewise linear (polyhedral): L is the smaller of the two
+    minimum linear decay ratios.  Continuous families make it smooth: L
+    fits the decay as L ||U - U*_0||^2.  For a concave q each linear ratio
+    is at least the directional slope, and a minimum over sampled
     directions is at least the minimum over all of them, so L is an upper
     estimate of the true modulus.
     """
@@ -581,13 +563,11 @@ def estimate_geometry(scenario, u_star0=None, probe_radius: float = 0.5,
     if ratio_small <= 0 or ratio_large <= 0:
         raise ValueError("dual appears flat along some probe direction; maximizer "
                          "may be non-unique or off its optimum")
-    if abs(ratio_large / ratio_small - 1.0) < ratio_tol:
-        L = min(ratio_small, ratio_large)
-        kind = "polyhedral"
+    if spec.is_finite:
+        kind, L = "polyhedral", min(ratio_small, ratio_large)
     else:
-        quad = min(decays[0].min() / radii[0] ** 2, decays[1].min() / radii[1] ** 2)
-        L = float(quad)
         kind = "smooth"
+        L = float(min(decays[0].min() / radii[0] ** 2, decays[1].min() / radii[1] ** 2))
     return GeometryEstimate(kind, L, (ratio_small, ratio_large), radii, len(dirs))
 
 

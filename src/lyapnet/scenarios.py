@@ -2,9 +2,8 @@
 
 Each built-in returns a :class:`ScenarioHandle`: the validated
 :class:`~lyapnet.model.NetworkSpec` plus registered closed forms (optimal
-multiplier map V -> U*_V, optimal time-average cost f*_av), the dual
-geometry kind near the optimum, and which queues receive exogenous
-arrivals (used only for drop accounting).
+multiplier map V -> U*_V, optimal time-average cost f*_av) and which
+queues receive exogenous arrivals (used only for drop accounting).
 """
 
 from __future__ import annotations
@@ -40,16 +39,15 @@ class ScenarioHandle:
     """A NetworkSpec bundled with registered scenario knowledge.
 
     ``u_star`` maps V to the optimal multiplier vector when a closed form
-    is known.  ``geometry`` tags the dual's shape near U*_0 ("polyhedral"
-    or "smooth") and selects the placeholder rule for delay-reduced runs.
-    ``exogenous`` lists the queues whose arrivals count as offered load in
-    drop statistics; None means all queues.
+    is known.  ``exogenous`` lists the queues whose arrivals count as
+    offered load in drop statistics; None means all queues.  The dual's
+    shape near U*_0 is not stored: finite action tables give a polyhedral
+    dual and continuous families a smooth one (``spec.is_finite``).
     """
 
     spec: NetworkSpec
     u_star: Callable[[float], np.ndarray] | None = None
     f_star: float | None = None
-    geometry: str | None = None
     exogenous: tuple[int, ...] | None = None
 
     @property
@@ -111,7 +109,6 @@ def two_queue() -> ScenarioHandle:
         spec=_chain_spec("two-queue", 2),
         u_star=_chain_u_star(2),
         f_star=1.5,
-        geometry="polyhedral",
         exogenous=(0,),
     )
 
@@ -127,7 +124,6 @@ def five_queue_chain() -> ScenarioHandle:
         spec=_chain_spec("five-queue-chain", 5),
         u_star=_chain_u_star(5),
         f_star=3.75,
-        geometry="polyhedral",
         exogenous=(0,),
     )
 
@@ -172,7 +168,6 @@ def single_queue_continuous(mu_max: float = 2.0) -> ScenarioHandle:
         spec=spec,
         u_star=lambda V: np.array([V * math.exp(0.5)]),
         f_star=math.exp(0.5) - 1.0,
-        geometry="smooth",
         exogenous=(0,),
     )
 
@@ -199,7 +194,6 @@ def single_queue_discrete() -> ScenarioHandle:
         u_star=lambda V: np.array(
             [(V * math.expm1(0.75) - V * math.expm1(0.25)) / 0.5]),
         f_star=0.5 * (math.exp(0.75) + math.exp(0.25)) - 1.0,
-        geometry="polyhedral",
         exogenous=(0,),
     )
 

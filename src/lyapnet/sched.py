@@ -82,7 +82,9 @@ def fqla_placeholder_ideal(u_star, V: float, regime: str = "polyhedral") -> np.n
     Polyhedral duals concentrate the backlog within O(log V) of U*_V, so
     the placeholder sits log^2 V below it: W_cal = max[U*_V - log^2 V, 0].
     Smooth duals spread over O(sqrt(V)) and use
-    W_cal = max[U*_V - log^2 V * sqrt(V), 0].  Logs are natural.
+    W_cal = max[U*_V - log^2 V * sqrt(V), 0].  Logs are natural.  run()
+    passes "polyhedral" for finite action tables and "smooth" for
+    continuous families.
     """
     u_star = np.asarray(u_star, dtype=float)
     _check_V(V)

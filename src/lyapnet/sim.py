@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dual import _check_V, _finite_argmin, per_state_optimum
+from .dual import _check_V, _finite_argmin, _levels, per_state_optimum
 from .model import NetworkSpec, sample_states, substream, tables
 from .scenarios import ScenarioHandle, as_handle
 from .sched import (
@@ -82,7 +82,10 @@ class RunConfig:
     states at every V.  ``placeholders`` overrides the placeholder rule
     for delay-reduced algorithms, and ``initial_backlog`` (qla only) sets
     U(0); each is rejected under the algorithms that would ignore it.
-    ``deviation_reference`` overrides the registered U*_V.
+    Without them fqla-ideal places W_cal at U*_V - ln^2 V on finite action
+    tables and at U*_V - sqrt(V) ln^2 V on continuous families (see
+    fqla_placeholder_ideal).  ``deviation_reference`` overrides the
+    registered U*_V.
     ``check_invariants`` turns on the per-slot contract scans
     (nonnegativity, change bound, sandwich), run on each block of slots as
     it finishes, which abort the run with the offending slot.
@@ -104,7 +107,6 @@ class RunConfig:
     check_invariants: bool = False
     deviation_reference: "np.ndarray | None" = None
     placeholders: "np.ndarray | None" = None
-    regime: "str | None" = None
     general_T: "int | None" = None
     general_K: int = 20
     bisect_T1: "int | None" = None
@@ -478,7 +480,7 @@ def _loop(spec, V, rngs, slots, w0, burn, wl=None, ref=None, paths=False, check=
         bad = _sandwich_bad(U[:1], W[:1], wl, spec.delta_max).sum(axis=(0, 2))
     dev = None if ref is None else np.empty((R, window))
     finite = spec.is_finite
-    prologue = finite and R > 1 and wl is None
+    prologue = finite and R > 1 and wl is None and burn > 0
     idx = np.empty((_CHUNK if prologue else rows, R), dtype=np.int64)  # the states
 
     def draw(n):  # each run's next n states, column by column
@@ -612,16 +614,6 @@ def _integer(name: str, x, lo: int) -> int:
     return int(x)
 
 
-def _levels(name: str, x, r: int) -> np.ndarray:
-    """x as r finite, nonnegative floats; a ValueError naming ``name`` otherwise."""
-    v = np.asarray(x, dtype=float)
-    if v.shape != (r,):
-        raise ValueError(f"{name} must have shape ({r},), got {v.shape}")
-    if not (np.isfinite(v) & (v >= 0)).all():
-        raise ValueError(f"{name} must be {r} finite, nonnegative levels, got {v}")
-    return v
-
-
 def _resolve_u_star(handle: ScenarioHandle, config: RunConfig):
     if config.deviation_reference is not None:
         return _levels("deviation_reference", config.deviation_reference, handle.spec.r)
@@ -644,8 +636,8 @@ def _resolve_placeholders(handle: ScenarioHandle, config: RunConfig) -> np.ndarr
             warnings.warn(f"no U*_V available for {handle.name!r}; "
                           "falling back to numeric multiplier search")
             u_star = find_optimal_multiplier(handle, V).u_star
-        regime = config.regime or handle.geometry or "polyhedral"
-        return fqla_placeholder_ideal(u_star, V, regime)
+        return fqla_placeholder_ideal(u_star, V,
+                                      "polyhedral" if handle.spec.is_finite else "smooth")
     if config.algorithm == "fqla-general":
         est = fqla_general_estimate(handle, V, T=config.general_T, K=config.general_K,
                                     rng=substream(config.seed, config.stream, 1))
@@ -811,10 +803,10 @@ def _run_batched(setups: Sequence[_Setup]) -> list[SimReport]:
     return reports
 
 
-def _sandwich_bad(U, W, wl, delta_max):
-    """Rows x queues outside max(W - wl, 0) <= U <= max(W - wl, 0) + delta_max."""
+def _sandwich_bad(U, W, wl, delta_max, tol=_TOL):
+    """Rows x queues outside max(W - wl, 0) <= U <= max(W - wl, 0) + delta_max, up to tol."""
     floor = np.maximum(W - wl, 0.0)
-    return (U < floor - _TOL) | (U > floor + delta_max + _TOL)
+    return (U < floor - tol) | (U > floor + delta_max + tol)
 
 
 def _invariant_scan(spec, idx, U, W, wl, t0=0):

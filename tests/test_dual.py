@@ -95,6 +95,11 @@ def test_evaluate_dual_rejects_bad_multipliers(tiny_spec):
         evaluate_dual(tiny_spec, 1.0, [1.0])
     with pytest.raises(ValueError, match="nonnegative"):
         evaluate_dual(tiny_spec, 1.0, [1.0, -0.5])
+    for u in ([math.nan, math.nan], [math.inf, 0.0], [0.0, -math.inf]):
+        with pytest.raises(ValueError, match="multiplier must be 2 finite, nonnegative"):
+            evaluate_dual(tiny_spec, 1.0, u)
+    with pytest.raises(ValueError, match="finite"):
+        rism_step(tiny_spec, 1.0, [math.nan, 1.0], 0)
     with pytest.raises(ValueError, match="V must be positive"):
         evaluate_dual(tiny_spec, 0.0, [1.0, 1.0])
     with pytest.raises(ValueError, match="V must be positive and finite"):
@@ -368,6 +373,20 @@ def test_estimate_geometry_polyhedral(five):
     assert geo.L > 0.0
     assert geo.radii == (0.5, 1.0)
     assert geo.n_directions == 64
+
+
+def test_estimate_geometry_discrete_is_polyhedral_with_its_exact_modulus(discq):
+    """A finite table's dual is piecewise linear, though its decay ratios cross a kink.
+
+    U*_1 = 2 (e^(3/4) - e^(1/4)) ties the rates 1/4 and 3/4, so q falls
+    at slope 1/4 on both sides of it, the exact modulus.  At radius 1 the
+    probes cross a second kink, so the ratios differ across radii (0.25
+    against 0.3152) without any curvature.
+    """
+    geo = estimate_geometry(discq)
+    assert geo.kind == "polyhedral"
+    assert geo.L == 0.25
+    assert geo.ratios[1] > geo.ratios[0]
 
 
 def test_estimate_geometry_int_seed_is_a_generator_seed(discq):

@@ -1,6 +1,7 @@
 """Property-based checks on generated scenarios."""
 
 import dataclasses
+import itertools
 import json
 import math
 
@@ -15,8 +16,10 @@ from lyapnet import scenarios, sim  # noqa: E402
 from lyapnet.dual import (  # noqa: E402
     ConvergenceError,
     check_subgradient_inequality,
+    estimate_geometry,
     evaluate_dual,
     find_optimal_multiplier,
+    per_state_optimum,
     rism_step,
 )
 from lyapnet.model import (  # noqa: E402
@@ -506,6 +509,81 @@ def test_continuous_search_stops_where_the_subgradient_changes_sign(mu_max, V):
 
     assert G(u) > 0.0 >= G(np.nextafter(u, np.inf))
     assert abs(u - V * np.exp(0.5)) <= 1e-14 * V * np.exp(0.5)
+
+
+def breakpoint_scan_optimum(spec, V, i):
+    """The largest per-state maximizer by an O(A^2) scan of the table's breakpoints.
+
+    The scan per_state_optimum ran on finite tables before it bisected on
+    the minimizer's drain: every pairwise breakpoint z > 0 (and 0) is a
+    candidate, and the largest one whose envelope value is within 1e-9
+    of the top wins; +inf when no action drains the queue.
+    """
+    tab = tables(spec)
+    c = V * tab.cost[i]
+    d = -tab.sma[i][:, 0]  # arrivals minus services
+    if d.min() >= 0.0:
+        return math.inf
+    zs = {0.0}
+    for x, y in itertools.combinations(range(len(d)), 2):
+        if d[x] != d[y]:
+            z = (c[y] - c[x]) / (d[x] - d[y])
+            if z > 0:
+                zs.add(float(z))
+    z_arr = np.array(sorted(zs))
+    env = (c[None, :] + z_arr[:, None] * d[None, :]).min(axis=1)
+    top = env.max()
+    return float(z_arr[env >= top - 1e-9 * max(1.0, abs(top))].max())
+
+
+@st.composite
+def grid_queue_specs(draw):
+    """One-queue finite scenarios with entries on a 1/8 grid (traffic in delta_max / 8 steps).
+
+    With V whole, each state's envelope values at its breakpoints are
+    multiples of 1/(8 m), m <= 16, so distinct ones lie at least 1/1920
+    apart: the scan's 1e-9 envelope tolerance joins exact ties only, and
+    every nonzero drain is at least delta_max / 8.
+    """
+    delta_max = draw(st.sampled_from([0.5, 1.0, 2.0, 4.0]))
+    eighths = st.integers(0, 8).map(lambda n: delta_max * n / 8)
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=4))
+    states = [StateSpec(float(p), [ActionRecord(draw(st.integers(0, 80)) / 8, [draw(eighths)],
+                                                [draw(eighths)])
+                                   for _ in range(draw(st.integers(1, 4)))])
+              for p in np.array(weights) / sum(weights)]
+    return NetworkSpec("grid", 1, delta_max, states)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=grid_queue_specs(), V=st.integers(1, 200), data=st.data())
+def test_per_state_optimum_matches_the_breakpoint_scan(spec, V, data):
+    """Bisecting on the greedy action's drain lands within 1e-12 of the exact breakpoint.
+
+    The bisection stops where _finite_argmin's rounded scores flip.  At an
+    optimum at 0 a tie at u = 0 outlives u until u d rounds away against
+    V c (or underflows, when c = 0): the drain d is at least delta_max / 8.
+    """
+    i = data.draw(st.integers(0, spec.n_states - 1))
+    got, want = per_state_optimum(spec, V, i), breakpoint_scan_optimum(spec, V, i)
+    if want == 0.0:
+        assert got <= 1e-12 * V * float(tables(spec).cost[i].max()) * 8 / spec.delta_max + 1e-300
+    elif math.isinf(want):
+        assert got == want
+    else:
+        assert abs(got - want) <= 1e-12 * want
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=finite_specs())
+def test_finite_tables_have_polyhedral_geometry(spec):
+    """A finite table's dual is piecewise linear, whatever its sampled decay ratios do."""
+    try:
+        geo = estimate_geometry(spec, n_directions=16)
+    except (ValueError, ConvergenceError):
+        hypothesis.assume(False)  # an unbounded dual, a flat direction or no probe direction
+    assert geo.kind == "polyhedral"
+    assert geo.L == min(geo.ratios)
 
 
 def _first_bad_entry(r, delta_max, states):

@@ -120,8 +120,6 @@ def test_chain_tables_equal_per_action_construction(n):
 
 
 def test_tags(five, two, contq, discq):
-    assert five.geometry == two.geometry == discq.geometry == "polyhedral"
-    assert contq.geometry == "smooth"
     assert five.exogenous == two.exogenous == (0,)
     assert contq.exogenous == discq.exogenous == (0,)
 

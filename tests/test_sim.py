@@ -289,13 +289,24 @@ def test_bisection_seed_is_the_stream_zero_run(discq):
     np.testing.assert_array_equal(rep.placeholders, est.placeholders)
 
 
-def test_ideal_placeholders_use_geometry_tag(contq):
+def test_ideal_placeholders_follow_the_action_set(contq):
     V = 100.0
     rep = run(RunConfig(scenario=contq, V=V, slots=2_000, seed=0,
                         algorithm="fqla-ideal"))
     gap = math.log(V) ** 2 * math.sqrt(V)
     want = max(V * math.exp(0.5) - gap, 0.0)
     np.testing.assert_array_equal(rep.placeholders, [want])
+
+
+def test_bare_continuous_spec_gets_the_handle_placeholders(contq):
+    """The smooth rule comes from the action set, not from the handle, so a bare spec keeps it."""
+    V = 1000.0
+    cfg = RunConfig(scenario=contq, V=V, slots=2_000, seed=0, algorithm="fqla-ideal")
+    want = run(cfg).placeholders
+    with pytest.warns(UserWarning, match="numeric multiplier search"):
+        got = run(dataclasses.replace(cfg, scenario=contq.spec)).placeholders
+    assert want[0] == pytest.approx(V * math.exp(0.5) - math.log(V) ** 2 * math.sqrt(V))
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 def test_explicit_placeholders_win(five):
