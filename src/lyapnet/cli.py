@@ -274,28 +274,27 @@ def cmd_dual(args) -> int:
 def _read_trace(path: str):
     """Parse the U and W columns of a trace CSV; W is None when its columns are empty.
 
-    The rows are transposed into columns, and each column is converted
-    with one map of float() over its fields.
+    np.loadtxt parses only the U (and non-empty W) columns, with float()'s
+    bits; a file without data rows or with a missing or non-numeric field
+    raises ValidationError naming the file.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        columns = list(zip(*reader))
-    if not columns:
+        header, first = next(reader, []), next(reader, None)
+    if not first:
         raise ValidationError(path, "trace file has no data rows")
     u_cols = [j for j, name in enumerate(header) if name.startswith("U_")]
     w_cols = [j for j, name in enumerate(header) if name.startswith("W_")]
     if "state" not in header or not u_cols:
         raise ValidationError(path, "not a trace CSV (missing state/U_ columns)")
-    n = len(columns[0])
-
-    def parse(j):
-        return np.fromiter(map(float, columns[j]), dtype=float, count=n)
-
-    u = np.column_stack([parse(c) for c in u_cols])
-    has_w = w_cols and columns[w_cols[0]][0] != ""
-    w = np.column_stack([parse(c) for c in w_cols]) if has_w else None
-    return u, w
+    if w_cols and first[w_cols[0]:w_cols[0] + 1] == [""]:
+        w_cols = []
+    try:
+        cols = np.loadtxt(path, delimiter=",", skiprows=1, usecols=u_cols + w_cols,
+                          ndmin=2, encoding="utf-8", comments=None)
+    except ValueError as e:
+        raise ValidationError(path, str(e)) from None
+    return cols[:, :len(u_cols)], (cols[:, len(u_cols):] if w_cols else None)
 
 
 def cmd_analyze(args) -> int:

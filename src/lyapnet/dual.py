@@ -239,17 +239,18 @@ def per_state_optimum(spec: NetworkSpec, V: float, state: int) -> float:
     is what makes the absorbing interval work.  Returns +inf when the
     function never starts decreasing (the state only pushes the backlog
     up).  It is the last float u at which the state's minimizing action,
-    as _state_argmin picks it, does not drain the queue (service <= arrival
-    + 1e-12); the minimizer's net drain is nondecreasing in u, so that set
-    is an interval and bisection finds its end, for finite tables and
-    continuous families alike.
+    as _state_argmin picks it, does not drain the queue (service <= arrival,
+    + 1e-12 on continuous families); the minimizer's net drain is
+    nondecreasing in u, so that set is an interval and bisection finds its
+    end, for finite tables and continuous families alike.
     """
     if spec.r != 1:
         raise ValueError("per-state optima are defined for single-queue scenarios")
+    slack = 0.0 if spec.is_finite else 1e-12
 
     def fills(u1: float) -> bool:
         _, _, arr, svc = _state_argmin(spec, V, state, np.array([u1]))
-        return float(svc[0]) <= float(arr[0]) + 1e-12
+        return float(svc[0]) <= float(arr[0]) + slack
 
     return _last_true(fills, max(1.0, V))
 

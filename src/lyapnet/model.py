@@ -72,7 +72,8 @@ class ContinuousActions:
     ``dual_argmin(V, u) -> x`` must return the minimizer of
     V*cost(x) + u . (arrivals(x) - services(x)) over [lo, hi]; it is the
     one piece of scenario knowledge the generic machinery cannot derive
-    from a table.
+    from a table.  ``arrivals(x)`` and ``services(x)`` must return numpy
+    arrays of shape (r,), which the single-run simulation reads with tolist.
     """
 
     lo: float
@@ -191,8 +192,11 @@ class NetworkSpec:
             raise ValidationError(f"{path}.actions", f"interval [{fam.lo}, {fam.hi}] is not a valid closed interval")
         # Spot-check the maps at the interval ends and midpoint.
         for x in (fam.lo, 0.5 * (fam.lo + fam.hi), fam.hi):
-            probe = ActionRecord(fam.cost(x), fam.arrivals(x), fam.services(x))
-            self._validate_action(f"{path}.actions(x={x:g})", probe)
+            here, traffic = f"{path}.actions(x={x:g})", (fam.arrivals(x), fam.services(x))
+            for name, vec in zip(("arrivals", "services"), traffic):
+                if not isinstance(vec, np.ndarray):
+                    raise ValidationError(f"{here}.{name}", f"must be a numpy array, got {vec!r}")
+            self._validate_action(here, ActionRecord(fam.cost(x), *traffic))
 
 
 # -- sampling and dynamics --------------------------------------------------

@@ -219,10 +219,13 @@ class AbsorptionReport:
 # 1. per slot, only what the next decision needs: the greedy choice and
 #    the W queue law, written in place into the preallocated row W[t+1];
 #    the block's actions are stored once at its end.  The code depends on R:
-#    - R = 1: the dual._finite_argmin score shared with the one-shot API,
-#      or the family's dual_argmin, on (r,) rows (at R = 1 the batched
-#      steps below ran 1.35x to 2x slower on single-queue-continuous and
-#      2.4x to 4x slower on the five-queue chain);
+#    - R = 1: the dual._finite_argmin score shared with the one-shot API
+#      and the numpy W law on (r,) rows, or the family's dual_argmin and the
+#      law max(w - mu, 0.0) + a on W as Python floats, which round as numpy
+#      does, -0.0 included: 3.1-3.4 against 4.7-6.8 us per slot over 300k
+#      single-queue-continuous slots, but 2.9-3.2 against 2.1 us (timeit)
+#      on a five-queue table row.  The batched steps below ran 1.35x to 2x
+#      slower on single-queue-continuous and 2.4x to 4x on the five-queue;
 #    - R > 1, finite tables: _stacked_step, one take/matmul/argmax over
 #      the padded tables for all R runs, with V * cost from a stack built
 #      once per distinct V.  It only pays from _STACKED_MIN_R runs (10k-20k
@@ -233,7 +236,7 @@ class AbsorptionReport:
 #    - R > 1, continuous families: each run's dual_argmin, cost, arrivals
 #      and services, then one vectorized W law per slot (already 1.04x-1.32x
 #      the speed of two single-run calls at R = 2 on single-queue-continuous,
-#      1.75x-1.83x at R = 8);
+#      1.75x-1.83x at R = 8; float laws were 0-40% slower at R = 6);
 # 2. per block, vectorized over slots and runs: costs, arrivals and
 #    services gathered from the padded tables (recorded in phase 1 for
 #    continuous families), admissions, drops, U by one cumsum over the
@@ -541,18 +544,17 @@ def _loop(spec, V, rngs, slots, w0, burn, wl=None, ref=None, paths=False, check=
         else:
             a, mu = a_buf[:n], mu_buf[:n]
             if R == 1:
-                V1, w, x1, c1, a1, mu1 = V[0], Wb[0, 0], ks[:, 0], cb[:, 0], a[:, 0], mu[:, 0]
-                for j, (row, i) in enumerate(zip(Wb[1:, 0], states[:, 0].tolist())):
+                w, wf, i1, out = Wb[0, 0], Wb[0, 0].tolist(), states[:, 0].tolist(), []
+                for row, i in zip(Wb[1:, 0], i1):
                     fam = fams[i]
-                    x = float(fam.dual_argmin(V1, w))
-                    x1[j] = x
-                    c1[j] = fam.cost(x)
-                    aj, muj = fam.arrivals(x), fam.services(x)
-                    a1[j], mu1[j] = aj, muj
-                    np.subtract(w, muj, out=row)
-                    np.maximum(row, zero, out=row)
-                    row += aj
+                    x = float(fam.dual_argmin(V[0], w))
+                    aj, muj = fam.arrivals(x).tolist(), fam.services(x).tolist()
+                    wf = [max(u - m, 0.0) + ai for u, m, ai in zip(wf, muj, aj)]
+                    row[:] = wf
                     w = row
+                    out.append((x, aj, muj))
+                ks[:, 0], a[:, 0], mu[:, 0] = zip(*out)
+                cb[:, 0] = [fams[i].cost(x) for i, x in zip(i1, ks[:, 0].tolist())]
             else:
                 for t, (i_t, w_t, x_t, c_t, a_t, mu_t) in enumerate(
                         zip(states.tolist(), Wb, ks, cb, a, mu)):
@@ -941,15 +943,13 @@ def _fmt(x) -> str:
 _CSV_BLOCK = 4096  # trace rows formatted and written at a time
 
 
-def _fmt_col(x: np.ndarray) -> list[str]:
-    return ["%.12g" % v for v in x.tolist()]
-
-
 def write_trace_csv(report: SimReport, path: str) -> None:
     """Write the per-slot trace: slot,state,cost,U_*,W_*,dropped_this_slot.
 
-    W columns are left empty for plain greedy runs.  Rows are formatted a
-    column at a time in blocks of _CSV_BLOCK, so memory stays bounded.
+    W columns are left empty for plain greedy runs.  Each row is one
+    format of a template (``%d`` for slot and state, ``%.12g`` for every
+    float) over the ``tolist`` columns of a block of _CSV_BLOCK rows, so
+    memory stays bounded.
     """
     tr = report.trace
     if tr is None:
@@ -957,20 +957,16 @@ def write_trace_csv(report: SimReport, path: str) -> None:
     n, r = tr.u.shape
     cols = (["slot", "state", "cost"] + [f"U_{j + 1}" for j in range(r)]
             + [f"W_{j + 1}" for j in range(r)] + ["dropped_this_slot"])
+    row = ("%d,%d,%.12g" + ",%.12g" * r + ("," * r if tr.w is None else ",%.12g" * r)
+           + (",0\n" if tr.dropped is None else ",%.12g\n"))
+    floats = [tr.costs, *tr.u.T, *(() if tr.w is None else tr.w.T),
+              *(() if tr.dropped is None else (tr.dropped,))]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(cols) + "\n")
         for s in range(0, n, _CSV_BLOCK):
             e = min(s + _CSV_BLOCK, n)
-            block = [[str(t) for t in range(s, e)], [str(i) for i in tr.states[s:e].tolist()],
-                     _fmt_col(tr.costs[s:e])]
-            block += [_fmt_col(tr.u[s:e, j]) for j in range(r)]
-            if tr.w is not None:
-                block += [_fmt_col(tr.w[s:e, j]) for j in range(r)]
-            else:
-                block += [[""] * (e - s)] * r
-            block.append(_fmt_col(tr.dropped[s:e]) if tr.dropped is not None
-                         else [_fmt(0.0)] * (e - s))
-            fh.write("".join(",".join(row) + "\n" for row in zip(*block)))
+            block = [range(s, e), tr.states[s:e].tolist()] + [f[s:e].tolist() for f in floats]
+            fh.write("".join(row % fields for fields in zip(*block)))
 
 
 def report_csv_header(r: int) -> list[str]:

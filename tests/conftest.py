@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lyapnet import scenarios
+from lyapnet import scenarios, sim
 from lyapnet.model import ActionRecord, NetworkSpec, StateSpec
 
 
@@ -23,6 +23,24 @@ def contq():
 @pytest.fixture
 def discq():
     return scenarios.by_name("single-queue-discrete")
+
+
+LONG_TRACE_SLOTS = 9000  # more rows than one block of sim.write_trace_csv
+
+
+@pytest.fixture(scope="session")
+def long_qla_report():
+    """A 9000-slot single-queue-continuous qla run with its trace (empty W columns)."""
+    return sim.run(sim.RunConfig(scenario=scenarios.by_name("single-queue-continuous"), V=50.0,
+                                 slots=LONG_TRACE_SLOTS, seed=4, record_trace=True))
+
+
+@pytest.fixture(scope="session")
+def long_fqla_report():
+    """A 9000-slot five-queue-chain fqla-ideal run with its trace."""
+    return sim.run(sim.RunConfig(scenario=scenarios.by_name("five-queue-chain"), V=50.0,
+                                 algorithm="fqla-ideal", slots=LONG_TRACE_SLOTS, seed=4,
+                                 record_trace=True))
 
 
 @pytest.fixture

@@ -222,10 +222,18 @@ def single_queue_trace(tmp_path_factory):
     return path
 
 
-@pytest.mark.parametrize("trace", ["fqla_trace", "single_queue_trace"])
+@pytest.fixture(scope="module")
+def long_fqla_trace(tmp_path_factory, long_fqla_report):
+    """A trace longer than one block of the trace writer."""
+    path = tmp_path_factory.mktemp("cli") / "long_fqla.csv"
+    simulation.write_trace_csv(long_fqla_report, str(path))
+    return path
+
+
+@pytest.mark.parametrize("trace", ["fqla_trace", "single_queue_trace", "long_fqla_trace"])
 def test_read_trace_parses_every_field_bit_for_bit(trace, request):
-    """The column-wise parse equals float() of every U and W field, with W
-    columns (FQLA) and with empty ones (QLA)."""
+    """The parse equals float() of every U and W field, with W columns
+    (FQLA) and with empty ones (QLA)."""
     from lyapnet.cli import _read_trace
 
     path = request.getfixturevalue(trace)
@@ -237,7 +245,7 @@ def test_read_trace_parses_every_field_bit_for_bit(trace, request):
     u, w = _read_trace(str(path))
     assert u.dtype == want_u.dtype and u.shape == want_u.shape
     assert u.tobytes() == want_u.tobytes()
-    if trace == "fqla_trace":
+    if trace != "single_queue_trace":
         want_w = np.array([[float(row[j]) for j in w_cols] for row in rows])
         assert w.dtype == want_w.dtype and w.shape == want_w.shape
         assert w.tobytes() == want_w.tobytes()
@@ -361,6 +369,26 @@ def test_analyze_empty_trace_exits_2(tmp_path, capsys):
                  "--trace", str(stub), "--mode", "tail"])
     assert code == 2
     capsys.readouterr()
+
+
+TRACE_HEAD = "slot,state,cost,U_1,W_1,dropped_this_slot\n0,0,0,1.5,,0\n"
+
+
+@pytest.mark.parametrize("text,why", [
+    ("", "no data rows"),
+    (TRACE_HEAD.splitlines(keepends=True)[0], "no data rows"),
+    (TRACE_HEAD + "1,1,0,abc,,0\n", "could not convert string 'abc'"),
+    (TRACE_HEAD + "1,1,0,", "could not convert string ''"),
+    (TRACE_HEAD + "1,1,0", "invalid column index"),
+], ids=["empty", "header-only", "non-numeric", "truncated-field", "truncated-row"])
+def test_analyze_malformed_trace_exits_2_naming_the_file(text, why, tmp_path, capsys):
+    stub = tmp_path / "bad.csv"
+    stub.write_text(text, encoding="utf-8")
+    code = main(["analyze", "--scenario", "single-queue-continuous", "--V", "10",
+                 "--trace", str(stub), "--mode", "tail"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {stub}: ") and why in err
 
 
 @pytest.mark.parametrize("header", ["slot,cost,U_1", "slot,state,cost,W_1"])

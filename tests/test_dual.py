@@ -205,6 +205,13 @@ def test_per_state_optimum_levels(discq):
     assert per_state_optimum(discq.spec, V, 1) == math.inf
 
 
+def test_per_state_optimum_counts_a_tiny_finite_drain():
+    """A table whose only action serves 1.8e-261 packets per slot drains the
+    queue: its dual term falls from u = 0, so the optimum is 0, not +inf."""
+    spec = NetworkSpec("tiny-drain", 1, 1.0, [StateSpec(1.0, [ActionRecord(1.0, [0.0], [1.8e-261])])])
+    assert per_state_optimum(spec, 10.0, 0) == 0.0
+
+
 def _state_optimum_200_steps(fam, V):
     """The bracket-and-bisect loop per_state_optimum ran before its shared helper."""
     a = float(fam.arrivals(fam.dual_argmin(V, np.zeros(1)))[0])

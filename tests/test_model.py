@@ -152,6 +152,18 @@ def _interval_family():
                              dual_argmin=lambda V, u: min(max(u[0] / (2.0 * V), 0.0), 1.0))
 
 
+@pytest.mark.parametrize("name", ["arrivals", "services"])
+def test_continuous_maps_must_return_arrays(name):
+    """A map returning a list is rejected when the spec is built, not mid-run."""
+    fam = _interval_family()
+    vec = getattr(fam, name)
+    setattr(fam, name, lambda x: vec(x).tolist())
+    with pytest.raises(ValidationError) as err:
+        NetworkSpec("lists", 1, 1.0, [StateSpec(1.0, fam)])
+    assert err.value.path == f"states[0].actions(x=0).{name}"
+    assert "must be a numpy array" in str(err.value)
+
+
 @pytest.mark.parametrize("first_finite", [True, False])
 def test_mixed_finite_and_continuous_states_rejected(first_finite):
     table = [ActionRecord(0.0, [0.5], [1.0])]

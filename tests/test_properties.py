@@ -24,6 +24,7 @@ from lyapnet.dual import (  # noqa: E402
 )
 from lyapnet.model import (  # noqa: E402
     ActionRecord,
+    ContinuousActions,
     NetworkSpec,
     StateSpec,
     ValidationError,
@@ -220,13 +221,33 @@ def test_loop_matches_reference_bit_for_bit(spec, V, slots, seed, with_placehold
     assert_raw_bits_equal(spec, V, seed, slots, burn, w0, wl, ref, data.draw(st.booleans()))
 
 
-@settings(max_examples=30, deadline=None)
-@given(V=st.floats(0.5, 200.0), slots=st.sampled_from(ORACLE_SLOTS),
-       seed=st.integers(0, 2**32 - 1), with_placeholders=st.booleans(), data=st.data())
-def test_continuous_loop_matches_reference_bit_for_bit(V, slots, seed, with_placeholders, data):
-    spec = scenarios.by_name("single-queue-continuous").spec
+def crossing_family(a):
+    """x in [0, 1] at cost x^2, arrivals (a, x) and services (x, 0.8).
+
+    V x^2 + u_1 (a - x) + u_2 (x - 0.8) is least at x = clip((u_1 - u_2) / (2V), 0, 1),
+    so queue 2's arrivals depend on the decision.
+    """
+    return ContinuousActions(0.0, 1.0, cost=lambda x: x * x,
+                             arrivals=lambda x: np.array([a, x]),
+                             services=lambda x: np.array([x, 0.8]),
+                             dual_argmin=lambda V, u: min(max((u[0] - u[1]) / (2.0 * V), 0.0), 1.0))
+
+
+CONTINUOUS_TANDEM = NetworkSpec("continuous-tandem", 2, 1.0, [
+    StateSpec(0.5, crossing_family(0.2)), StateSpec(0.5, crossing_family(0.9))])
+CONTINUOUS_SPECS = {"single-queue-continuous": scenarios.by_name("single-queue-continuous").spec,
+                    "continuous-tandem": CONTINUOUS_TANDEM}
+
+
+@settings(max_examples=40, deadline=None)
+@given(which=st.sampled_from(list(CONTINUOUS_SPECS)), V=st.floats(0.5, 200.0),
+       slots=st.sampled_from(ORACLE_SLOTS), seed=st.integers(0, 2**32 - 1),
+       with_placeholders=st.booleans(), data=st.data())
+def test_continuous_loop_matches_reference_bit_for_bit(which, V, slots, seed, with_placeholders,
+                                                       data):
+    spec = CONTINUOUS_SPECS[which]
     burn = data.draw(burn_ins(slots))
-    level = st.floats(0.0, 3.0 * V).map(lambda v: np.array([v]))
+    level = st.lists(st.floats(0.0, 3.0 * V), min_size=spec.r, max_size=spec.r).map(np.array)
     w0 = data.draw(level)
     wl = data.draw(level) if with_placeholders else None
     ref = data.draw(st.none() | level)
@@ -360,6 +381,35 @@ def test_run_many_reports_the_bits_of_run(which, R, data):
         configs.append(sim.RunConfig(**kw))
     for got, cfg in zip(sim.run_many(configs), configs):
         assert_same_scalars(got, sim.run(cfg))
+
+
+@pytest.mark.parametrize("algorithm", ["qla", "fqla-ideal"])
+@pytest.mark.parametrize("R", range(2, 9))
+def test_continuous_tandem_runs_many_with_the_bits_of_run(R, algorithm, monkeypatch):
+    """R runs of the two-queue continuous family through one R-run _loop
+    call report the bits of R single runs, whose invariant scans pass."""
+    rows = sim._CHUNK // R
+    slots, rng = 3 * rows + R, np.random.default_rng(R)
+    configs = []
+    for k in range(R):
+        V = float(rng.uniform(0.5, 50.0))
+        levels = {"placeholders" if algorithm == "fqla-ideal" else "initial_backlog":
+                  rng.uniform(0.0, 3.0 * V, 2)}
+        configs.append(sim.RunConfig(scenario=CONTINUOUS_TANDEM, V=V, slots=slots,
+                                     burn_in=slots // 3, seed=k, stream=k % 2,
+                                     algorithm=algorithm,
+                                     deviation_reference=rng.uniform(0.0, 3.0 * V, 2), **levels))
+    loop, widths = sim._loop, []
+
+    def spy(spec, V, rngs, *args, **kw):
+        widths.append(len(rngs))
+        return loop(spec, V, rngs, *args, **kw)
+
+    monkeypatch.setattr(sim, "_loop", spy)
+    many = sim.run_many(configs)
+    assert widths == [R]
+    for got, cfg in zip(many, configs):
+        assert_same_scalars(got, sim.run(dataclasses.replace(cfg, check_invariants=True)))
 
 
 def reference_queue_path(path, mu, x):

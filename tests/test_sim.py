@@ -515,6 +515,39 @@ def test_trace_csv_blank_w_for_plain_runs(tmp_path, five):
     assert row[8:13] == [""] * 5
 
 
+def column_trace_csv(report):
+    """The trace CSV as the writer built it before its row template: every
+    column of a block formatted on its own with %.12g, the rows joined."""
+    tr = report.trace
+    n, r = tr.u.shape
+    cols = (["slot", "state", "cost"] + [f"U_{j + 1}" for j in range(r)]
+            + [f"W_{j + 1}" for j in range(r)] + ["dropped_this_slot"])
+    out = [",".join(cols) + "\n"]
+
+    def fmt(x):
+        return ["%.12g" % v for v in x.tolist()]
+
+    for s in range(0, n, sim._CSV_BLOCK):
+        e = min(s + sim._CSV_BLOCK, n)
+        block = [[str(t) for t in range(s, e)], [str(i) for i in tr.states[s:e].tolist()],
+                 fmt(tr.costs[s:e])]
+        block += [fmt(tr.u[s:e, j]) for j in range(r)]
+        block += ([fmt(tr.w[s:e, j]) for j in range(r)] if tr.w is not None
+                  else [[""] * (e - s)] * r)
+        block.append(fmt(tr.dropped[s:e]) if tr.dropped is not None else ["0"] * (e - s))
+        out.append("".join(",".join(row) + "\n" for row in zip(*block)))
+    return "".join(out).encode()
+
+
+@pytest.mark.parametrize("which", ["long_qla_report", "long_fqla_report"])
+def test_trace_csv_longer_than_a_block_matches_the_column_writer(which, request, tmp_path):
+    rep = request.getfixturevalue(which)
+    assert len(rep.trace.u) > 2 * sim._CSV_BLOCK
+    p = tmp_path / "trace.csv"
+    write_trace_csv(rep, str(p))
+    assert p.read_bytes() == column_trace_csv(rep)
+
+
 def test_trace_csv_requires_trace(five, tmp_path):
     rep = run(RunConfig(scenario=five, V=20.0, slots=50, seed=0))
     with pytest.raises(ValueError, match="trace"):
