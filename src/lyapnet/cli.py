@@ -274,9 +274,9 @@ def cmd_dual(args) -> int:
 def _read_trace(path: str):
     """Parse the U and W columns of a trace CSV; W is None when its columns are empty.
 
-    np.loadtxt parses only the U (and non-empty W) columns, with float()'s
-    bits; a file without data rows or with a missing or non-numeric field
-    raises ValidationError naming the file.
+    np.loadtxt parses the U, non-empty W and last columns (the last catches
+    a row cut short) with float()'s bits; no data rows, or a missing or
+    non-numeric field, raise ValidationError naming the file.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -290,11 +290,11 @@ def _read_trace(path: str):
     if w_cols and first[w_cols[0]:w_cols[0] + 1] == [""]:
         w_cols = []
     try:
-        cols = np.loadtxt(path, delimiter=",", skiprows=1, usecols=u_cols + w_cols,
-                          ndmin=2, encoding="utf-8", comments=None)
+        cols = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, encoding="utf-8",
+                          comments=None, usecols=u_cols + w_cols + [len(header) - 1])
     except ValueError as e:
         raise ValidationError(path, str(e)) from None
-    return cols[:, :len(u_cols)], (cols[:, len(u_cols):] if w_cols else None)
+    return cols[:, :len(u_cols)], (cols[:, len(u_cols):-1] if w_cols else None)
 
 
 def cmd_analyze(args) -> int:

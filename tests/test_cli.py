@@ -368,7 +368,7 @@ def test_analyze_empty_trace_exits_2(tmp_path, capsys):
     code = main(["analyze", "--scenario", "single-queue-continuous", "--V", "10",
                  "--trace", str(stub), "--mode", "tail"])
     assert code == 2
-    capsys.readouterr()
+    assert capsys.readouterr().err == f"error: {stub}: trace file has no data rows\n"
 
 
 TRACE_HEAD = "slot,state,cost,U_1,W_1,dropped_this_slot\n0,0,0,1.5,,0\n"
@@ -376,11 +376,13 @@ TRACE_HEAD = "slot,state,cost,U_1,W_1,dropped_this_slot\n0,0,0,1.5,,0\n"
 
 @pytest.mark.parametrize("text,why", [
     ("", "no data rows"),
-    (TRACE_HEAD.splitlines(keepends=True)[0], "no data rows"),
     (TRACE_HEAD + "1,1,0,abc,,0\n", "could not convert string 'abc'"),
+    (TRACE_HEAD.replace(",,", ",2.5,") + "1,1,0,1.5,x,0\n", "could not convert string 'x'"),
     (TRACE_HEAD + "1,1,0,", "could not convert string ''"),
     (TRACE_HEAD + "1,1,0", "invalid column index"),
-], ids=["empty", "header-only", "non-numeric", "truncated-field", "truncated-row"])
+    (TRACE_HEAD + "1,1,0,2.5", "invalid column index"),
+], ids=["zero-bytes", "non-numeric", "non-numeric-w", "truncated-field", "truncated-row",
+        "cut-after-u"])
 def test_analyze_malformed_trace_exits_2_naming_the_file(text, why, tmp_path, capsys):
     stub = tmp_path / "bad.csv"
     stub.write_text(text, encoding="utf-8")
