@@ -82,9 +82,8 @@ def _log_ticks(lo: float, hi: float) -> list[float]:
 
 
 def render_chart(series: Sequence[Series], *, title: str = "", caption: str = "",
-                 xlabel: str = "", ylabel: str = "", log_y: bool = False,
-                 width: int = _W, height: int = _H) -> str:
-    """Render series into an SVG document string."""
+                 xlabel: str = "", ylabel: str = "", log_y: bool = False) -> str:
+    """Render series into an SVG document string of 720 by 480 pixels."""
     pts = []
     for s in series:
         mask = np.isfinite(s.x) & np.isfinite(s.y)
@@ -116,8 +115,8 @@ def render_chart(series: Sequence[Series], *, title: str = "", caption: str = ""
         pad = 0.06 * (y_hi - y_lo)
         y_lo, y_hi = y_lo - pad, y_hi + pad
 
-    pw = width - _ML - _MR
-    ph = height - _MT - _MB
+    pw = _W - _ML - _MR
+    ph = _H - _MT - _MB
 
     def px(v: float) -> float:
         return _ML + (v - x_lo) / (x_hi - x_lo) * pw
@@ -130,15 +129,15 @@ def render_chart(series: Sequence[Series], *, title: str = "", caption: str = ""
         return _MT + (1.0 - f) * ph
 
     out = []
-    out.append(f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-               f'height="{height}" viewBox="0 0 {width} {height}">')
-    out.append(f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>')
+    out.append(f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" '
+               f'height="{_H}" viewBox="0 0 {_W} {_H}">')
+    out.append(f'<rect x="0" y="0" width="{_W}" height="{_H}" fill="#ffffff"/>')
     if title:
-        out.append(f'<text x="{width // 2}" y="22" text-anchor="middle" '
+        out.append(f'<text x="{_W // 2}" y="22" text-anchor="middle" '
                    f'font-family="monospace" font-size="14" fill="#111111">'
                    f'{_escape(title)}</text>')
     if caption:
-        out.append(f'<text x="{width // 2}" y="40" text-anchor="middle" '
+        out.append(f'<text x="{_W // 2}" y="40" text-anchor="middle" '
                    f'font-family="monospace" font-size="11" fill="#555555">'
                    f'{_escape(caption)}</text>')
 
@@ -161,7 +160,7 @@ def render_chart(series: Sequence[Series], *, title: str = "", caption: str = ""
     out.append(f'<rect x="{_ML}" y="{_MT}" width="{pw}" height="{ph}" '
                f'fill="none" stroke="#333333" stroke-width="1"/>')
     if xlabel:
-        out.append(f'<text x="{_ML + pw // 2}" y="{height - 12}" text-anchor="middle" '
+        out.append(f'<text x="{_ML + pw // 2}" y="{_H - 12}" text-anchor="middle" '
                    f'font-family="monospace" font-size="12" fill="#111111">'
                    f'{_escape(xlabel)}</text>')
     if ylabel:

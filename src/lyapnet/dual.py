@@ -59,11 +59,7 @@ __all__ = [
 
 
 class ConvergenceError(RuntimeError):
-    """Multiplier search failed; ``best`` holds the best iterate found."""
-
-    def __init__(self, message: str, best=None):
-        super().__init__(message)
-        self.best = best
+    """Multiplier search failed: the dual is unbounded or the LP did not solve."""
 
 
 @dataclass
@@ -92,10 +88,11 @@ class GeometryEstimate:
     has a finite action table (q is then piecewise linear), with L the
     minimum sampled decay ratio (q(U*) - q(U)) / ||U - U*||, else "smooth",
     with L fitted from quadratic decay.  ``ratios`` holds the minimum
-    linear decay ratio at each probe radius for both kinds.  A minimum
-    over sampled directions is an upper estimate of the true modulus, not
-    a guaranteed valid one: on the five-queue chain L reads 0.1608 against
-    the exact 1/(4 sqrt 5) = 0.1118.
+    linear decay ratio at each radius (``radii`` = (0.5, 1)) over the 64
+    directions (``n_directions``) for both kinds.  A minimum over sampled
+    directions is an upper estimate of the true modulus, not a guaranteed
+    valid one: on the five-queue chain L reads 0.1608 against the exact
+    1/(4 sqrt 5) = 0.1118.
     """
 
     kind: str
@@ -204,6 +201,21 @@ def _check_V(V) -> None:
         raise ValueError(f"V must be positive and finite, got {V!r}")
 
 
+def _integer(name: str, x, lo: int) -> int:
+    """x as an int of at least lo (a bool is none); a ValueError naming ``name`` otherwise."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or x < lo:
+        raise ValueError(f"{name} must be an integer >= {lo}, got {x!r}")
+    return int(x)
+
+
+def _one_state(spec: NetworkSpec, V, state, u=None) -> "np.ndarray | None":
+    """Check a one-state call's V, state index and multiplier u (when given); return u."""
+    _check_V(V)
+    if _integer("state", state, 0) >= spec.n_states:
+        raise ValueError(f"state must be below {spec.n_states}, got {state!r}")
+    return None if u is None else _levels("multiplier", u, spec.r)
+
+
 def evaluate_dual(spec: NetworkSpec, V: float, u) -> DualEval:
     """Evaluate q(u) with a subgradient.
 
@@ -226,7 +238,7 @@ def evaluate_dual(spec: NetworkSpec, V: float, u) -> DualEval:
 
 def per_state_dual(spec: NetworkSpec, V: float, state: int, u) -> tuple[float, "int | float"]:
     """Minimum and minimizer of the single-state dual term at multiplier u."""
-    u = _levels("multiplier", u, spec.r)
+    u = _one_state(spec, V, state, u)
     k, cost, arr, svc = _state_argmin(spec, V, state, u)
     return V * cost + float((arr - svc) @ u), k
 
@@ -246,6 +258,7 @@ def per_state_optimum(spec: NetworkSpec, V: float, state: int) -> float:
     """
     if spec.r != 1:
         raise ValueError("per-state optima are defined for single-queue scenarios")
+    _one_state(spec, V, state)
     slack = 0.0 if spec.is_finite else 1e-12
 
     def fills(u1: float) -> bool:
@@ -293,7 +306,7 @@ def rism_step(spec: NetworkSpec, V: float, u, state: int, alpha: float = 1.0) ->
     minimizing action; with alpha = 1 this is exactly the idle-fill queue
     update under the greedy decision.
     """
-    u = _levels("multiplier", u, spec.r)
+    u = _one_state(spec, V, state, u)
     _, _, arr, svc = _state_argmin(spec, V, state, u)
     return np.maximum(u - alpha * svc, 0.0) + alpha * arr
 
@@ -312,23 +325,22 @@ def _finite_dual_values(spec: NetworkSpec, V: float, us: np.ndarray) -> np.ndarr
     return spec.probs @ terms.min(axis=1)
 
 
-def _probe_local_optimality(spec, V, u_star, q_star, rng, n=100, radius=0.5,
-                            tol=1e-9) -> bool:
-    """False when q exceeds q_star + tol at some point ``radius`` away from u_star.
+def _probe_local_optimality(spec, V, u_star, q_star, rng) -> bool:
+    """False when q exceeds q_star + 1e-9 at some point 0.5 away from a closed-form u_star.
 
-    The n directions are standard normal draws, clipped back to u >= 0
+    The 100 directions are standard normal draws, clipped back to u >= 0
     after scaling; finite tables evaluate every probe point at once.
     """
-    d = rng.standard_normal((n, spec.r))
+    d = rng.standard_normal((100, spec.r))
     # Row by row: np.linalg.norm(d, axis=1) rounds differently in the last bit.
     nrm = np.array([np.linalg.norm(row) for row in d])
     keep = nrm > 0.0
-    cands = np.maximum(u_star + (radius / nrm[keep])[:, None] * d[keep], 0.0)
+    cands = np.maximum(u_star + (0.5 / nrm[keep])[:, None] * d[keep], 0.0)
     if spec.is_finite:
         q = _finite_dual_values(spec, V, cands)
     else:
         q = np.array([evaluate_dual(spec, V, c).value for c in cands])
-    return not (q > q_star + tol).any()
+    return not (q > q_star + 1e-9).any()
 
 
 def _finite_lp_maximizer(spec: NetworkSpec, V: float) -> tuple[np.ndarray, int]:
@@ -343,12 +355,8 @@ def _finite_lp_maximizer(spec: NetworkSpec, V: float) -> tuple[np.ndarray, int]:
 
     tab = tables(spec)
     r, n = spec.r, spec.n_states
-    blocks = []
-    for i in range(n):
-        pick_t = np.zeros((len(tab.cost[i]), n))
-        pick_t[:, i] = 1.0
-        blocks.append(np.hstack([tab.sma[i], pick_t]))  # sma = -d
-    A_ub = np.concatenate(blocks)
+    of_state = np.repeat(np.arange(n), [len(c) for c in tab.cost])  # each record's state
+    A_ub = np.hstack([np.concatenate(tab.sma), of_state[:, None] == np.arange(n)])  # sma = -d
     b_ub = V * np.concatenate(tab.cost)
     c = np.concatenate([np.zeros(r), -spec.probs])
     bounds = [(0.0, None)] * r + [(None, None)] * n
@@ -386,38 +394,34 @@ def _continuous_maximizer(spec: NetworkSpec, V: float) -> tuple[np.ndarray, int]
 
 
 def find_optimal_multiplier(scenario, V: float, method: str = "auto",
-                            rng: "np.random.Generator | int | None" = None,
-                            probe_directions: int = 100) -> MultiplierResult:
+                            rng: "np.random.Generator | int | None" = None) -> MultiplierResult:
     """Locate the dual maximizer U*_V.
 
-    With ``method="auto"`` a registered closed form is returned directly;
-    ``method="numeric"`` forces a search.  Finite action tables make the
-    dual piecewise-linear, so its maximum is one small LP solved exactly
-    by HiGHS (``iterations`` is the solver's count).  Continuous families
-    need a single queue (r = 1, else ``ValueError``): G(u) is then
-    nonincreasing, so U*_V is 0 when G(0) <= 0 and otherwise the last float
+    With ``method="auto"`` a registered closed form is returned, and
+    ``probe_ok`` is False when one of 100 random points 0.5 away from it
+    (drawn from ``rng``, a generator or a seed; None is 0) beats it.
+    ``method="numeric"`` forces a search, whose own end certifies it, so
+    ``probe_ok`` is True.  Finite action tables make the dual
+    piecewise-linear: one LP, solved exactly by HiGHS, whose optimal
+    status is a duality certificate (``iterations`` is its count).
+    Continuous families need one queue (r = 1, else ``ValueError``): G is
+    then nonincreasing, and U*_V is 0 when G(0) <= 0, else the last float
     with G(u) > 0, found by doubling a bracket from max(1, V) and bisecting
-    it down to adjacent floats (``iterations`` counts the G evaluations).
-    An unbounded dual (no multiplier stabilizes the queues; for a
-    continuous family, G still positive past u = 1e15) raises
-    :class:`ConvergenceError` with ``best=None``.  Either way the result
-    must pass a local-optimality probe of random perturbations; a failed
-    probe raises :class:`ConvergenceError` with the result as ``best``.
-
-    If the dual maximizer is not unique the returned point is one maximizer
-    among possibly many; the probe cannot detect flat optima.
+    it to adjacent floats (``iterations`` counts the G evaluations).  An
+    unbounded dual (for a continuous family, G > 0 past u = 1e15) raises
+    :class:`ConvergenceError`.  A maximizer that is not unique is one of many.
     """
     handle = as_handle(scenario)
     spec = handle.spec
-    if rng is None or isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(0 if rng is None else int(rng))
     if method not in ("auto", "closed-form", "numeric"):
         raise ValueError(f"unknown method {method!r}")
     _check_V(V)
     if method in ("auto", "closed-form") and handle.u_star is not None:
+        if rng is None or isinstance(rng, (int, np.integer)):
+            rng = np.random.default_rng(0 if rng is None else int(rng))
         u = np.asarray(handle.u_star(V), dtype=float)
         ev = evaluate_dual(spec, V, u)
-        ok = _probe_local_optimality(spec, V, u, ev.value, rng, n=probe_directions)
+        ok = _probe_local_optimality(spec, V, u, ev.value, rng)
         return MultiplierResult(u, ev.value, "closed-form", 0, ok)
     if method == "closed-form":
         raise ValueError(f"scenario {spec.name!r} has no registered closed form")
@@ -426,25 +430,19 @@ def find_optimal_multiplier(scenario, V: float, method: str = "auto",
         u, iterations = _finite_lp_maximizer(spec, V)
     else:
         u, iterations = _continuous_maximizer(spec, V)
-    ev = evaluate_dual(spec, V, u)
-    result = MultiplierResult(u, ev.value, "numeric", iterations, True)
-    if not _probe_local_optimality(spec, V, u, ev.value, rng, n=probe_directions):
-        result.probe_ok = False
-        raise ConvergenceError(
-            f"multiplier search did not reach a local maximum for {spec.name!r} at V={V}",
-            best=result)
-    return result
+    return MultiplierResult(u, evaluate_dual(spec, V, u).value, "numeric", iterations, True)
 
 
 # -- structural checks -------------------------------------------------------
 
 
-def check_scaling(scenario, V_list: Sequence[float], tol: float = 1e-9) -> ScalingReport:
+def check_scaling(scenario, V_list: Sequence[float]) -> ScalingReport:
     """Residuals of U*_V = V * U*_1 over the given V values.
 
     Each residual is the max-norm gap ||U*_V - V U*_1||_inf; the report is
-    ok when every residual is within tol * V.
+    ok when every residual is within tol * V, tol = 1e-9.
     """
+    tol = 1e-9
     handle = as_handle(scenario)
     u1 = find_optimal_multiplier(handle, 1.0).u_star
     residuals = {}
@@ -482,21 +480,15 @@ def check_slackness(spec: NetworkSpec, epsilon: float) -> SlacknessResult:
     if not spec.is_finite:
         raise ValueError("slackness LP needs finite action tables")
     tab = tables(spec)
-    sizes = [len(c) for c in tab.cost]
-    n_theta = sum(sizes)
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
-
+    of_state = np.repeat(np.arange(spec.n_states), [len(c) for c in tab.cost])
+    n_theta = len(of_state)
     # Inequalities: sum_i p_i theta_i . (g - b)_j + s <= 0 for each queue j.
-    A_ub = np.zeros((spec.r, n_theta + 1))
-    for i, st in enumerate(spec.states):
-        gmb = -tab.sma[i]  # (A_i, r)
-        A_ub[:, offsets[i]:offsets[i + 1]] = st.prob * gmb.T
-    A_ub[:, -1] = 1.0
+    gmb = -np.concatenate(tab.sma)
+    A_ub = np.hstack([(spec.probs[of_state, None] * gmb).T, np.ones((spec.r, 1))])
     b_ub = np.zeros(spec.r)
     # Equalities: each state's theta sums to one.
-    A_eq = np.zeros((spec.n_states, n_theta + 1))
-    for i in range(spec.n_states):
-        A_eq[i, offsets[i]:offsets[i + 1]] = 1.0
+    A_eq = np.hstack([np.arange(spec.n_states)[:, None] == of_state,
+                      np.zeros((spec.n_states, 1))])
     b_eq = np.ones(spec.n_states)
     c = np.zeros(n_theta + 1)
     c[-1] = -1.0
@@ -506,47 +498,38 @@ def check_slackness(spec: NetworkSpec, epsilon: float) -> SlacknessResult:
     if not res.success:
         raise RuntimeError(f"slackness LP failed: {res.message}")
     margin = float(res.x[-1])
-    witness = [np.asarray(res.x[offsets[i]:offsets[i + 1]]) for i in range(spec.n_states)]
+    witness = [res.x[:-1][of_state == i] for i in range(spec.n_states)]
     return SlacknessResult(margin >= epsilon - 1e-9, epsilon, margin, witness)
 
 
 # -- geometry and constants --------------------------------------------------
 
 
-def estimate_geometry(scenario, u_star0=None, probe_radius: float = 0.5,
-                      n_directions: int = 64,
-                      rng: "np.random.Generator | int | None" = None) -> GeometryEstimate:
-    """Estimate the modulus L of the V=1 dual at its maximizer.
+def estimate_geometry(scenario) -> GeometryEstimate:
+    """Estimate the modulus L of the V=1 dual at its maximizer U*_0.
 
-    Probes q at two radii (probe_radius and its double) along random
-    directions kept inside the nonnegative orthant.  Finite action tables
-    make q piecewise linear (polyhedral): L is the smaller of the two
-    minimum linear decay ratios.  Continuous families make it smooth: L
-    fits the decay as L ||U - U*_0||^2.  For a concave q each linear ratio
-    is at least the directional slope, and a minimum over sampled
-    directions is at least the minimum over all of them, so L is an upper
-    estimate of the true modulus.
+    Probes q at radii 0.5 and 1 along 64 directions drawn from
+    ``default_rng(0)`` and kept inside the nonnegative orthant.  Finite
+    action tables make q piecewise linear (polyhedral): L is the smaller
+    of the two minimum linear decay ratios.  Continuous families make it
+    smooth: L fits the decay as L ||U - U*_0||^2.  For a concave q each
+    linear ratio is at least the directional slope, and a minimum over
+    sampled directions is at least the minimum over all of them, so L is
+    an upper estimate of the true modulus.
     """
     handle = as_handle(scenario)
     spec = handle.spec
-    if not (probe_radius > 0):
-        raise ValueError(f"probe_radius must be positive, got {probe_radius!r}")
-    if n_directions < 2:
-        raise ValueError("need at least two probe directions")
-    if rng is None or isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(0 if rng is None else int(rng))
-    if u_star0 is None:
-        u_star0 = find_optimal_multiplier(handle, 1.0).u_star
-    u_star0 = np.asarray(u_star0, dtype=float)
+    rng = np.random.default_rng(0)
+    u_star0 = find_optimal_multiplier(handle, 1.0).u_star
     q_star = evaluate_dual(spec, 1.0, u_star0).value
-    radii = (probe_radius, 2.0 * probe_radius)
+    radii = (0.5, 1.0)
 
     dirs = []
     attempts = 0
-    while len(dirs) < n_directions:
+    while len(dirs) < 64:
         attempts += 1
-        if attempts > 200 * n_directions:
-            raise ValueError("could not find probe directions keeping U*_0 + 2*radius*d >= 0")
+        if attempts > 200 * 64:
+            raise ValueError("could not find probe directions keeping U*_0 + d >= 0")
         d = rng.standard_normal(spec.r)
         nrm = float(np.linalg.norm(d))
         if nrm == 0.0:
@@ -555,21 +538,18 @@ def estimate_geometry(scenario, u_star0=None, probe_radius: float = 0.5,
         if ((u_star0 + radii[1] * d) >= 0.0).all():
             dirs.append(d)
 
-    decays = np.empty((2, len(dirs)))
-    for a, rad in enumerate(radii):
-        for b, d in enumerate(dirs):
-            decays[a, b] = q_star - evaluate_dual(spec, 1.0, u_star0 + rad * d).value
-    ratio_small = float(decays[0].min() / radii[0])
-    ratio_large = float(decays[1].min() / radii[1])
-    if ratio_small <= 0 or ratio_large <= 0:
+    decays = np.array([[q_star - evaluate_dual(spec, 1.0, u_star0 + rad * d).value for d in dirs]
+                       for rad in radii])
+    low = decays.min(axis=1)
+    ratios = (float(low[0] / radii[0]), float(low[1] / radii[1]))
+    if ratios[0] <= 0 or ratios[1] <= 0:
         raise ValueError("dual appears flat along some probe direction; maximizer "
                          "may be non-unique or off its optimum")
     if spec.is_finite:
-        kind, L = "polyhedral", min(ratio_small, ratio_large)
+        kind, L = "polyhedral", min(ratios)
     else:
-        kind = "smooth"
-        L = float(min(decays[0].min() / radii[0] ** 2, decays[1].min() / radii[1] ** 2))
-    return GeometryEstimate(kind, L, (ratio_small, ratio_large), radii, len(dirs))
+        kind, L = "smooth", float(min(low[0] / radii[0] ** 2, low[1] / radii[1] ** 2))
+    return GeometryEstimate(kind, L, ratios, radii, len(dirs))
 
 
 def theorem2_constants(B: float, L: float, V: "float | None" = None) -> TheoremConstants:

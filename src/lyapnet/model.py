@@ -35,6 +35,7 @@ __all__ = [
     "queue_update",
     "one_step_distance_contract_check",
     "spec_from_dict",
+    "load_spec_json",
     "spec_to_dict",
     "substream",
 ]

@@ -24,6 +24,7 @@ from .model import (
 
 __all__ = [
     "ScenarioHandle",
+    "as_handle",
     "two_queue",
     "five_queue_chain",
     "single_queue_continuous",

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dual import _check_V, _state_argmin
+from .dual import _check_V, _integer, _one_state, _state_argmin
 from .model import NetworkSpec, queue_update, substream
 from .scenarios import as_handle
 
@@ -71,7 +71,7 @@ def qla_decide(spec: NetworkSpec, V: float, state: int, u) -> Decision:
     separates the tied scores (see dual._finite_argmin).  Scale invariance holds: (V, u) and
     (cV, cu) admit the same maximizer set for any c > 0.
     """
-    u = np.asarray(u, dtype=float)
+    u = _one_state(spec, V, state, u)
     k, cost, arr, svc = _state_argmin(spec, V, state, u)
     return Decision(k, cost, arr, svc)
 
@@ -157,10 +157,8 @@ def fqla_general_estimate(scenario, V: float, T: "int | None" = None, K: int = 2
 
     handle = as_handle(scenario)
     _check_V(V)
-    if T is None:
-        T = int(50 * V)
-    if T < 1 or K < 1:
-        raise ValueError(f"need positive T and K, got T={T}, K={K}")
+    T = _integer("T", int(50 * V) if T is None else T, 1)
+    K = _integer("K", K, 1)
     if not isinstance(rng, np.random.Generator):
         rng = substream(int(rng), 0, 1)
     streams = rng.spawn(K)
@@ -186,10 +184,12 @@ class BisectionResult:
     warning: bool
 
 
+_BISECT_DEPTH = 40  # bisection rounds before bisection_placeholder gives up
+
+
 def bisection_placeholder(scenario, V: float, T1: "int | None" = None,
                           guess: "float | None" = None,
-                          rng: "np.random.Generator | int" = 0,
-                          max_depth: int = 40) -> BisectionResult:
+                          rng: "np.random.Generator | int" = 0) -> BisectionResult:
     """Estimate placeholders by bisecting on trajectory trend.
 
     The first level tried is ``guess`` (default: half the natural backlog
@@ -198,8 +198,8 @@ def bisection_placeholder(scenario, V: float, T1: "int | None" = None,
     slope of its trajectory: fluctuating iff |slope| < B / sqrt(T1), else
     increasing (level below the hover point) or decreasing (above).
     Brackets are bisected per queue, widening upward when the hover point
-    sits above the initial bracket, until every queue fluctuates or the
-    depth budget is exhausted (warning).  Returns max[level - log^2 V, 0]
+    sits above the initial bracket, until every queue fluctuates or 40
+    rounds (``_BISECT_DEPTH``) have run (warning).  Returns max[level - log^2 V, 0]
     as placeholders.  This is a labeled heuristic: a noisy window can
     misclassify a trend, T1 defaults to the small sqrt(V) window, and for
     multi-queue scenarios the joint trajectory couples the queues, so
@@ -215,10 +215,10 @@ def bisection_placeholder(scenario, V: float, T1: "int | None" = None,
     spec = handle.spec
     r = spec.r
     _check_V(V)
-    if T1 is None:
-        T1 = max(int(math.ceil(math.sqrt(V))), 2)
+    T1 = max(int(math.ceil(math.sqrt(V))), 2) if T1 is None else T1
     if T1 < 2:
         raise ValueError(f"T1 must be at least 2 slots, got {T1!r}")
+    T1 = _integer("T1", T1, 2)
     if guess is None:
         guess = 0.5 * spec.r * spec.delta_max * max(V, 1.0)
     if not (guess >= 0 and math.isfinite(guess)):
@@ -233,7 +233,7 @@ def bisection_placeholder(scenario, V: float, T1: "int | None" = None,
     denom = float(slots_axis @ slots_axis)
     if not isinstance(rng, np.random.Generator):
         rng = substream(int(rng), 0, 2)
-    for _ in range(max_depth):
+    for _ in range(_BISECT_DEPTH):
         traj = sim._loop(spec, [V], rng.spawn(1), T1, level[None], 0, paths=True)[0].W
         slopes = slots_axis @ (traj[:T1] - traj[:T1].mean(axis=0)) / denom
         for j in range(r):

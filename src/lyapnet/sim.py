@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dual import _check_V, _finite_argmin, _levels, per_state_optimum
+from .dual import _check_V, _finite_argmin, _integer, _levels, per_state_optimum
 from .model import NetworkSpec, sample_states, substream, tables
 from .scenarios import ScenarioHandle, as_handle
 from .sched import (
@@ -609,13 +609,6 @@ def _loop(spec, V, rngs, slots, w0, burn, wl=None, ref=None, paths=False, check=
 # -- run ---------------------------------------------------------------------
 
 
-def _integer(name: str, x, lo: int) -> int:
-    """x as an int of at least lo (a bool is none); a ValueError naming ``name`` otherwise."""
-    if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or x < lo:
-        raise ValueError(f"{name} must be an integer >= {lo}, got {x!r}")
-    return int(x)
-
-
 def _resolve_u_star(handle: ScenarioHandle, config: RunConfig):
     if config.deviation_reference is not None:
         return _levels("deviation_reference", config.deviation_reference, handle.spec.r)
@@ -679,6 +672,7 @@ def _setup(config: RunConfig) -> _Setup:
     slots = _integer("slots", config.slots, 1)
     _check_V(config.V)
     _integer("seed", config.seed, 0)
+    _integer("stream", config.stream, 0)
     if config.algorithm == "qla" and config.placeholders is not None:
         raise ValueError("placeholders apply to the fqla-* algorithms only, not qla")
     if config.algorithm != "qla" and config.initial_backlog is not None:
@@ -878,13 +872,13 @@ def deviation_statistics(report: SimReport, D: float) -> DeviationCurve:
     return curve_from_deviations(report.deviations, D)
 
 
-def fit_tail(curve: DeviationCurve, min_samples: int = 30) -> TailFit:
+def fit_tail(curve: DeviationCurve) -> TailFit:
     """Fit ln p = ln c - beta m over bins with enough samples.
 
-    Only bins holding at least ``min_samples`` tail samples qualify; fewer
-    than 4 qualifying bins raises :class:`TailFitError` (insufficient tail
-    mass).
+    Only bins holding at least 30 tail samples qualify; fewer than 4
+    qualifying bins raises :class:`TailFitError` (insufficient tail mass).
     """
+    min_samples = 30
     counts = curve.p * curve.n_samples
     mask = (curve.p > 0) & (counts >= min_samples)
     if int(mask.sum()) < 4:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -104,6 +105,38 @@ def test_evaluate_dual_rejects_bad_multipliers(tiny_spec):
         evaluate_dual(tiny_spec, 0.0, [1.0, 1.0])
     with pytest.raises(ValueError, match="V must be positive and finite"):
         evaluate_dual(tiny_spec, math.inf, [1.0, 1.0])
+
+
+def _one_state_call(fn, spec, V, state, u):
+    if fn == "per_state_dual":
+        return per_state_dual(spec, V, state, u)
+    if fn == "per_state_optimum":
+        return per_state_optimum(spec, V, state)
+    if fn == "rism_step":
+        return rism_step(spec, V, u, state)
+    return qla_decide(spec, V, state, u)
+
+
+@pytest.mark.parametrize("fn,name,V,state,u,msg", [
+    ("per_state_dual", "two", 1.0, -1, [1.0, 1.0], "state must be an integer >= 0, got -1"),
+    ("per_state_dual", "two", 0.0, 0, [1.0, 1.0], "V must be positive and finite"),
+    ("per_state_dual", "two", 1.0, 0, [1.0, -1.0], "multiplier must be 2 finite"),
+    ("per_state_optimum", "discq", 1.0, -1, None, "state must be an integer >= 0, got -1"),
+    ("per_state_optimum", "discq", 1.0, 2, None, "state must be below 2, got 2"),
+    ("per_state_optimum", "discq", math.nan, 0, None, "V must be positive and finite"),
+    ("rism_step", "two", 1.0, 8, [1.0, 1.0], "state must be below 8, got 8"),
+    ("rism_step", "two", math.inf, 0, [1.0, 1.0], "V must be positive and finite"),
+    ("rism_step", "two", 1.0, 1.0, [1.0, 1.0], "state must be an integer"),
+    ("qla_decide", "two", 0.0, 0, [1.0, 1.0], "V must be positive and finite"),
+    ("qla_decide", "two", 1.0, 0, [math.nan, 1.0], "multiplier must be 2 finite"),
+    ("qla_decide", "two", 1.0, 0, [1.0, -0.5], "multiplier must be 2 finite"),
+    ("qla_decide", "two", 1.0, True, [1.0, 1.0], "state must be an integer"),
+    ("qla_decide", "discq", 1.0, 0, [1.0, 1.0], r"multiplier must have shape \(1,\)"),
+])
+def test_one_state_calls_check_v_state_and_u(fn, name, V, state, u, msg, request):
+    spec = request.getfixturevalue(name).spec
+    with pytest.raises(ValueError, match=msg):
+        _one_state_call(fn, spec, V, state, u)
 
 
 def test_concavity_audit(five):
@@ -285,15 +318,34 @@ def test_lp_search_off_grid_v_matches_closed_form(five):
     assert np.abs(res.u_star - five.u_star(V)).max() <= 1e-12 * V
 
 
+@pytest.mark.parametrize("name,factor", [
+    ("two", 0.5),
+    pytest.param("five", 0.5, marks=pytest.mark.xfail(
+        strict=True, reason="every direction the 100 probes draw from seed 0 descends at "
+        "0.5 U*_V on the five-queue chain, though q ascends along queue 1")),
+    ("five", 0.6),
+])
+@pytest.mark.parametrize("V", [1.0, 50.0, 100.0])
+def test_probe_flags_a_closed_form_off_the_maximizer(name, factor, V, request):
+    """A registered closed form away from U*_V gets probe_ok False under method="auto"."""
+    handle = request.getfixturevalue(name)
+    assert find_optimal_multiplier(handle, V).probe_ok
+    wrong = dataclasses.replace(handle, u_star=lambda V: factor * handle.u_star(V))
+    res = find_optimal_multiplier(wrong, V)
+    assert res.method == "closed-form"
+    assert evaluate_dual(handle.spec, V, res.u_star).value < \
+        find_optimal_multiplier(handle, V, method="numeric").value
+    assert not res.probe_ok
+
+
 def test_lp_search_overloaded_queue_raises():
     # one packet arrives every slot but at most half a packet is served
     spec = NetworkSpec("overloaded", 1, 1.0, [
         StateSpec(1.0, [ActionRecord(0.0, [1.0], [0.0]),
                         ActionRecord(1.0, [1.0], [0.5])]),
     ])
-    with pytest.raises(ConvergenceError) as err:
+    with pytest.raises(ConvergenceError):
         find_optimal_multiplier(spec, 10.0, method="numeric")
-    assert err.value.best is None
 
 
 def test_continuous_search_needs_one_queue():
@@ -315,9 +367,8 @@ def test_continuous_search_overloaded_queue_raises():
         services=lambda x: np.array([x]),
         dual_argmin=lambda V, u: 0.5 if float(u[0]) > V else 0.0)
     spec = NetworkSpec("overloaded-continuous", 1, 1.0, [StateSpec(1.0, fam)])
-    with pytest.raises(ConvergenceError) as err:
+    with pytest.raises(ConvergenceError):
         find_optimal_multiplier(spec, 10.0, method="numeric")
-    assert err.value.best is None
 
 
 def test_import_leaves_scipy_optimize_unloaded():
@@ -366,11 +417,6 @@ def test_dot_and_matmul_share_the_gemv_kernel(coretype):
     assert out.strip() == "ok"
 
 
-def test_convergence_error_carries_best():
-    err = ConvergenceError("no luck", best=(1, 2, 3))
-    assert err.best == (1, 2, 3)
-
-
 # -- geometry and constants --------------------------------------------------
 
 
@@ -394,10 +440,6 @@ def test_estimate_geometry_discrete_is_polyhedral_with_its_exact_modulus(discq):
     assert geo.kind == "polyhedral"
     assert geo.L == 0.25
     assert geo.ratios[1] > geo.ratios[0]
-
-
-def test_estimate_geometry_int_seed_is_a_generator_seed(discq):
-    assert estimate_geometry(discq, rng=3) == estimate_geometry(discq, rng=np.random.default_rng(3))
 
 
 def test_estimate_geometry_smooth(contq):

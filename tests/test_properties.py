@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis.extra import numpy as hnp  # noqa: E402
 from lyapnet import scenarios, sim  # noqa: E402
 from lyapnet.dual import (  # noqa: E402
     ConvergenceError,
+    check_slackness,
     check_subgradient_inequality,
     estimate_geometry,
     evaluate_dual,
@@ -537,13 +539,83 @@ def test_one_step_distance_contract_on_generated_specs(spec, data):
 def test_lp_multiplier_meets_subgradient_inequality(spec, V, data):
     """At any u >= 0 the subgradient points toward the LP's U*: (U* - u).G_u >= q(U*) - q(u)."""
     try:
-        u_star = find_optimal_multiplier(spec, V, method="numeric", probe_directions=8).u_star
-    except ConvergenceError as exc:
-        if exc.best is not None:  # the LP solved but its point failed the optimality probe
-            raise
+        u_star = find_optimal_multiplier(spec, V, method="numeric").u_star
+    except ConvergenceError:
         hypothesis.assume(False)  # the dual is unbounded: no multiplier stabilizes the queues
     u = np.array(data.draw(st.lists(BACKLOG, min_size=spec.r, max_size=spec.r)))
     assert check_subgradient_inequality(spec, V, u, u_star)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=finite_specs(), V=st.floats(0.5, 200.0), data=st.data())
+def test_lp_multiplier_is_a_maximum(spec, V, data):
+    """No u >= 0 beats the LP's U*: q(U*) >= q(u) - 1e-9 (1 + V max c).
+
+    q(U*) = V f* lies in [0, V max c] by strong duality, and that scale
+    bounds the terms whose rounding the tolerance absorbs.  u is drawn
+    anywhere in [0, 1e4]^r, or as U* moved by up to 1e-6, 1e-2, 1 or V
+    along each queue.
+    """
+    try:
+        res = find_optimal_multiplier(spec, V, method="numeric")
+    except ConvergenceError:
+        hypothesis.assume(False)  # the dual is unbounded: no multiplier stabilizes the queues
+    tol = 1e-9 * (1.0 + V * max(float(a.cost) for s in spec.states for a in s.actions))
+    vec = st.lists(st.floats(-1.0, 1.0), min_size=spec.r, max_size=spec.r).map(np.array)
+    scale = data.draw(st.sampled_from([None, 1e-6, 1e-2, 1.0, V]))
+    if scale is None:
+        u = np.array(data.draw(st.lists(BACKLOG, min_size=spec.r, max_size=spec.r)))
+    else:
+        u = np.maximum(res.u_star + scale * data.draw(vec), 0.0)
+    assert res.probe_ok
+    assert res.value >= evaluate_dual(spec, V, u).value - tol
+
+
+def per_state_lp_matrices(spec, V):
+    """A_ub and b_ub of the dual LP, then A_ub and A_eq of the slackness LP, built
+    state by state with offsets as dual.py built them before it stacked the tables."""
+    tab = tables(spec)
+    r, n = spec.r, spec.n_states
+    blocks = []
+    for i in range(n):
+        pick_t = np.zeros((len(tab.cost[i]), n))
+        pick_t[:, i] = 1.0
+        blocks.append(np.hstack([tab.sma[i], pick_t]))
+    sizes = [len(c) for c in tab.cost]
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    slack_ub = np.zeros((r, sum(sizes) + 1))
+    for i, st_ in enumerate(spec.states):
+        slack_ub[:, offsets[i]:offsets[i + 1]] = st_.prob * (-tab.sma[i]).T
+    slack_ub[:, -1] = 1.0
+    slack_eq = np.zeros((n, sum(sizes) + 1))
+    for i in range(n):
+        slack_eq[i, offsets[i]:offsets[i + 1]] = 1.0
+    return np.concatenate(blocks), V * np.concatenate(tab.cost), slack_ub, slack_eq
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=finite_specs(max_r=4), V=st.floats(0.5, 200.0))
+def test_lp_matrices_match_the_per_state_loops(spec, V):
+    """Both LPs get the bytes of their per-state builds, -0.0 entries included."""
+    import scipy.optimize
+
+    seen = []
+    real = scipy.optimize.linprog
+
+    def spy(c, **kw):
+        seen.append(kw)
+        return real(c, **kw)
+
+    with mock.patch.object(scipy.optimize, "linprog", spy):
+        try:
+            find_optimal_multiplier(spec, V, method="numeric")
+        except ConvergenceError:
+            pass  # an unbounded dual: the matrices were built all the same
+        check_slackness(spec, 0.01)
+    got = [seen[0]["A_ub"], seen[0]["b_ub"], seen[1]["A_ub"], seen[1]["A_eq"]]
+    for g, want in zip(got, per_state_lp_matrices(spec, V)):
+        assert g.dtype == want.dtype and g.shape == want.shape
+        assert g.tobytes() == want.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -551,7 +623,7 @@ def test_lp_multiplier_meets_subgradient_inequality(spec, V, data):
 def test_continuous_search_stops_where_the_subgradient_changes_sign(mu_max, V):
     """The bisection returns the last float with G > 0, within 1e-14 of V e^(1/2)."""
     spec = scenarios.single_queue_continuous(mu_max).spec
-    res = find_optimal_multiplier(spec, V, method="numeric", probe_directions=8)
+    res = find_optimal_multiplier(spec, V, method="numeric")
     u = res.u_star[0]
 
     def G(x):
@@ -629,7 +701,7 @@ def test_per_state_optimum_matches_the_breakpoint_scan(spec, V, data):
 def test_finite_tables_have_polyhedral_geometry(spec):
     """A finite table's dual is piecewise linear, whatever its sampled decay ratios do."""
     try:
-        geo = estimate_geometry(spec, n_directions=16)
+        geo = estimate_geometry(spec)
     except (ValueError, ConvergenceError):
         hypothesis.assume(False)  # an unbounded dual, a flat direction or no probe direction
     assert geo.kind == "polyhedral"

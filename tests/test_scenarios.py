@@ -182,3 +182,22 @@ def test_load_from_file_round_trip(tmp_path, discq):
     got = evaluate_dual(loaded.spec, 10.0, [7.0]).value
     want = evaluate_dual(discq.spec, 10.0, [7.0]).value
     assert got == want
+
+
+def test_package_exports_come_from_module_exports():
+    """Every name lyapnet exports is in the __all__ of the module that defines it.
+
+    A constant carries no ``__module__``; it must be in some module's __all__.
+    """
+    import importlib
+
+    import lyapnet
+
+    modules = [importlib.import_module(f"lyapnet.{m}")
+               for m in ("model", "scenarios", "dual", "sched", "sim")]
+    for name in lyapnet.__all__:
+        if name == "__version__":
+            continue
+        home = getattr(getattr(lyapnet, name), "__module__", None)
+        homes = [m for m in modules if m.__name__ == home] if home else modules
+        assert any(name in m.__all__ for m in homes), f"{name} is in no __all__ of {home}"

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lyapnet import sim
+from lyapnet import sched, sim
 from lyapnet import scenarios
 from lyapnet.model import ActionRecord, NetworkSpec, StateSpec, queue_update, substream, tables
 from lyapnet.sched import (
@@ -195,6 +195,22 @@ def test_general_estimate_rejects_bad_v(five, V):
         fqla_general_estimate(five, V, T=10, K=2)
 
 
+@pytest.mark.parametrize("kw,msg", [
+    (dict(T=True), "T must be an integer >= 1, got True"),
+    (dict(T=50.5), "T must be an integer >= 1, got 50.5"),
+    (dict(T=0), "T must be an integer >= 1, got 0"),
+    (dict(K=True), "K must be an integer >= 1, got True"),
+    (dict(K=2.5), "K must be an integer >= 1, got 2.5"),
+    (dict(K=0), "K must be an integer >= 1, got 0"),
+    (dict(V=0.01, T=None), "T must be an integer >= 1, got 0"),  # T = int(50 V) = 0
+])
+def test_general_estimate_rejects_bad_counts(five, kw, msg):
+    args = dict(V=10.0, T=10, K=2)
+    args.update(kw)
+    with pytest.raises(ValueError, match=msg):
+        fqla_general_estimate(five, **args)
+
+
 def test_general_estimate_averaging_damps_variance(five):
     """Terminal averages over K=2 runs scatter less than single runs."""
     spread = {}
@@ -294,9 +310,9 @@ def test_bisection_zero_arrivals(zero_traffic_spec):
     assert not res.warning
 
 
-def test_bisection_depth_budget_warning(discq):
-    res = bisection_placeholder(discq, 100.0, T1=200, guess=5000.0, rng=0,
-                                max_depth=1)
+def test_bisection_depth_budget_warning(discq, monkeypatch):
+    monkeypatch.setattr(sched, "_BISECT_DEPTH", 1)
+    res = bisection_placeholder(discq, 100.0, T1=200, guess=5000.0, rng=0)
     assert res.warning
     assert not res.converged.all()
 
@@ -310,6 +326,9 @@ def test_bisection_depth_budget_warning(discq):
     (dict(T1=0), "T1 must be at least 2"),
     (dict(guess=math.nan), "guess must be finite and nonnegative"),
     (dict(guess=math.inf), "guess must be finite and nonnegative"),
+    (dict(T1=2.5), r"T1 must be an integer >= 2, got 2.5"),
+    (dict(T1=True), "T1 must be at least 2"),
+    (dict(T1=np.float64(50.0)), "T1 must be an integer >= 2"),
 ])
 def test_bisection_rejects_bad_inputs(discq, kw, msg):
     args = dict(V=100.0, T1=50, rng=0)
