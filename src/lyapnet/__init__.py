@@ -5,154 +5,17 @@ greedy drift-plus-penalty control, exposes the dual of the underlying
 deterministic problem (evaluation, subgradient methods, multiplier
 search, geometry probes), implements the delay-reduced variants built on
 place-holder backlog, and verifies the attraction and sandwich
-properties empirically.
+properties empirically.  The package exports each module's ``__all__``.
 """
 
-from .model import (
-    ActionRecord,
-    ContinuousActions,
-    NetworkSpec,
-    StateSpec,
-    ValidationError,
-    load_spec_json,
-    one_step_distance_contract_check,
-    queue_update,
-    sample_state,
-    sample_states,
-    spec_from_dict,
-    spec_to_dict,
-    substream,
-)
-from .scenarios import (
-    ScenarioHandle,
-    as_handle,
-    by_name,
-    five_queue_chain,
-    load_from_file,
-    single_queue_continuous,
-    single_queue_discrete,
-    two_queue,
-)
-from .dual import (
-    ConvergenceError,
-    DualEval,
-    GeometryEstimate,
-    MultiplierResult,
-    ScalingReport,
-    SlacknessResult,
-    TheoremConstants,
-    check_scaling,
-    check_slackness,
-    check_subgradient_inequality,
-    estimate_geometry,
-    evaluate_dual,
-    find_optimal_multiplier,
-    osm_step,
-    per_state_dual,
-    per_state_optimum,
-    rism_step,
-    theorem2_constants,
-)
-from .sched import (
-    ALGORITHMS,
-    BisectionResult,
-    Decision,
-    FqlaState,
-    GeneralEstimate,
-    bisection_placeholder,
-    fqla_general_estimate,
-    fqla_placeholder_ideal,
-    fqla_start,
-    fqla_step,
-    qla_decide,
-)
-from .sim import (
-    AbsorptionReport,
-    DeviationCurve,
-    RunConfig,
-    SimInvariantError,
-    SimReport,
-    TailFit,
-    TailFitError,
-    Trace,
-    absorption_check,
-    curve_from_deviations,
-    deviation_statistics,
-    fit_tail,
-    run,
-    run_many,
-    write_report_csv,
-    write_trace_csv,
-)
+from . import dual, model, scenarios, sched, sim
+from .dual import *
+from .model import *
+from .scenarios import *
+from .sched import *
+from .sim import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ActionRecord",
-    "ContinuousActions",
-    "NetworkSpec",
-    "StateSpec",
-    "ValidationError",
-    "load_spec_json",
-    "one_step_distance_contract_check",
-    "queue_update",
-    "sample_state",
-    "sample_states",
-    "spec_from_dict",
-    "spec_to_dict",
-    "substream",
-    "ScenarioHandle",
-    "as_handle",
-    "by_name",
-    "five_queue_chain",
-    "load_from_file",
-    "single_queue_continuous",
-    "single_queue_discrete",
-    "two_queue",
-    "ConvergenceError",
-    "DualEval",
-    "GeometryEstimate",
-    "MultiplierResult",
-    "ScalingReport",
-    "SlacknessResult",
-    "TheoremConstants",
-    "check_scaling",
-    "check_slackness",
-    "check_subgradient_inequality",
-    "estimate_geometry",
-    "evaluate_dual",
-    "find_optimal_multiplier",
-    "osm_step",
-    "per_state_dual",
-    "per_state_optimum",
-    "rism_step",
-    "theorem2_constants",
-    "ALGORITHMS",
-    "BisectionResult",
-    "Decision",
-    "FqlaState",
-    "GeneralEstimate",
-    "bisection_placeholder",
-    "fqla_general_estimate",
-    "fqla_placeholder_ideal",
-    "fqla_start",
-    "fqla_step",
-    "qla_decide",
-    "AbsorptionReport",
-    "DeviationCurve",
-    "RunConfig",
-    "SimInvariantError",
-    "SimReport",
-    "TailFit",
-    "TailFitError",
-    "Trace",
-    "absorption_check",
-    "curve_from_deviations",
-    "deviation_statistics",
-    "fit_tail",
-    "run",
-    "run_many",
-    "write_report_csv",
-    "write_trace_csv",
-    "__version__",
-]
+__all__ = [*model.__all__, *scenarios.__all__, *dual.__all__, *sched.__all__, *sim.__all__,
+           "__version__"]

@@ -237,7 +237,7 @@ def cmd_dual(args) -> int:
         return 0
 
     if args.find_opt:
-        res = find_optimal_multiplier(handle, args.V, method=args.method, rng=args.seed)
+        res = find_optimal_multiplier(handle, args.V, method=args.method)
         print("U*_V = (" + ", ".join(_fmt(x) for x in res.u_star) + ")")
         print(f"q* = {_fmt(res.value)}")
         print(f"method = {res.method}  iterations = {res.iterations}  "

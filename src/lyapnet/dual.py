@@ -314,35 +314,6 @@ def rism_step(spec: NetworkSpec, V: float, u, state: int, alpha: float = 1.0) ->
 # -- multiplier search -------------------------------------------------------
 
 
-def _finite_dual_values(spec: NetworkSpec, V: float, us: np.ndarray) -> np.ndarray:
-    """q at each row of ``us`` (n, r) on finite tables, in one pass over the stacks.
-
-    q(u) = sum_i p_i min_k (V c_ik - u . sma_ik); padded actions cost +inf
-    and never attain the minimum.
-    """
-    tab = tables(spec)
-    terms = V * tab.cost_pad[:, :, None] - np.matmul(tab.sma_pad, us.T)  # (S, A, n)
-    return spec.probs @ terms.min(axis=1)
-
-
-def _probe_local_optimality(spec, V, u_star, q_star, rng) -> bool:
-    """False when q exceeds q_star + 1e-9 at some point 0.5 away from a closed-form u_star.
-
-    The 100 directions are standard normal draws, clipped back to u >= 0
-    after scaling; finite tables evaluate every probe point at once.
-    """
-    d = rng.standard_normal((100, spec.r))
-    # Row by row: np.linalg.norm(d, axis=1) rounds differently in the last bit.
-    nrm = np.array([np.linalg.norm(row) for row in d])
-    keep = nrm > 0.0
-    cands = np.maximum(u_star + (0.5 / nrm[keep])[:, None] * d[keep], 0.0)
-    if spec.is_finite:
-        q = _finite_dual_values(spec, V, cands)
-    else:
-        q = np.array([evaluate_dual(spec, V, c).value for c in cands])
-    return not (q > q_star + 1e-9).any()
-
-
 def _finite_lp_maximizer(spec: NetworkSpec, V: float) -> tuple[np.ndarray, int]:
     """Maximize the piecewise-linear dual of a finite-table scenario exactly.
 
@@ -397,11 +368,8 @@ def find_optimal_multiplier(scenario, V: float, method: str = "auto",
                             rng: "np.random.Generator | int | None" = None) -> MultiplierResult:
     """Locate the dual maximizer U*_V.
 
-    With ``method="auto"`` a registered closed form is returned, and
-    ``probe_ok`` is False when one of 100 random points 0.5 away from it
-    (drawn from ``rng``, a generator or a seed; None is 0) beats it.
-    ``method="numeric"`` forces a search, whose own end certifies it, so
-    ``probe_ok`` is True.  Finite action tables make the dual
+    ``method="numeric"`` searches, and the search's own end certifies it,
+    so ``probe_ok`` is True.  Finite action tables make the dual
     piecewise-linear: one LP, solved exactly by HiGHS, whose optimal
     status is a duality certificate (``iterations`` is its count).
     Continuous families need one queue (r = 1, else ``ValueError``): G is
@@ -410,27 +378,38 @@ def find_optimal_multiplier(scenario, V: float, method: str = "auto",
     it to adjacent floats (``iterations`` counts the G evaluations).  An
     unbounded dual (for a continuous family, G > 0 past u = 1e15) raises
     :class:`ConvergenceError`.  A maximizer that is not unique is one of many.
+
+    With ``method="auto"`` or ``"closed-form"`` a registered closed form is
+    returned (``iterations`` 0), certified by the same search: ``probe_ok``
+    is q(closed) >= q* - 1e-9 max(1, |q*|), with q* the searched optimum.
+    A continuous family on r > 1 queues has no search, so its closed form
+    comes back unchecked, with ``probe_ok`` False.  ``rng`` is accepted and
+    ignored: no path draws random numbers, and callers that still pass a
+    seed keep working.
     """
     handle = as_handle(scenario)
     spec = handle.spec
     if method not in ("auto", "closed-form", "numeric"):
         raise ValueError(f"unknown method {method!r}")
     _check_V(V)
-    if method in ("auto", "closed-form") and handle.u_star is not None:
-        if rng is None or isinstance(rng, (int, np.integer)):
-            rng = np.random.default_rng(0 if rng is None else int(rng))
-        u = np.asarray(handle.u_star(V), dtype=float)
-        ev = evaluate_dual(spec, V, u)
-        ok = _probe_local_optimality(spec, V, u, ev.value, rng)
-        return MultiplierResult(u, ev.value, "closed-form", 0, ok)
-    if method == "closed-form":
+    closed = method != "numeric" and handle.u_star is not None
+    if method == "closed-form" and not closed:
         raise ValueError(f"scenario {spec.name!r} has no registered closed form")
+    if closed:
+        u = np.asarray(handle.u_star(V), dtype=float)
+        q = evaluate_dual(spec, V, u).value
+        if not spec.is_finite and spec.r != 1:
+            return MultiplierResult(u, q, "closed-form", 0, False)
 
     if spec.is_finite:
-        u, iterations = _finite_lp_maximizer(spec, V)
+        u_num, iterations = _finite_lp_maximizer(spec, V)
     else:
-        u, iterations = _continuous_maximizer(spec, V)
-    return MultiplierResult(u, evaluate_dual(spec, V, u).value, "numeric", iterations, True)
+        u_num, iterations = _continuous_maximizer(spec, V)
+    q_star = evaluate_dual(spec, V, u_num).value
+    if closed:
+        return MultiplierResult(u, q, "closed-form", 0,
+                                q >= q_star - 1e-9 * max(1.0, abs(q_star)))
+    return MultiplierResult(u_num, q_star, "numeric", iterations, True)
 
 
 # -- structural checks -------------------------------------------------------

@@ -673,6 +673,12 @@ def _setup(config: RunConfig) -> _Setup:
     _check_V(config.V)
     _integer("seed", config.seed, 0)
     _integer("stream", config.stream, 0)
+    if config.algorithm == "fqla-general":
+        if config.general_T is not None:
+            _integer("general_T", config.general_T, 1)
+        _integer("general_K", config.general_K, 1)
+    if config.algorithm == "fqla-bisect" and config.bisect_T1 is not None:
+        _integer("bisect_T1", config.bisect_T1, 2)
     if config.algorithm == "qla" and config.placeholders is not None:
         raise ValueError("placeholders apply to the fqla-* algorithms only, not qla")
     if config.algorithm != "qla" and config.initial_backlog is not None:

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import os
 import subprocess
@@ -29,7 +30,7 @@ from lyapnet.model import (
     queue_update,
     tables,
 )
-from lyapnet.scenarios import single_queue_continuous
+from lyapnet.scenarios import ScenarioHandle, single_queue_continuous
 from lyapnet.sched import qla_decide
 
 
@@ -319,22 +320,20 @@ def test_lp_search_off_grid_v_matches_closed_form(five):
 
 
 @pytest.mark.parametrize("name,factor", [
-    ("two", 0.5),
-    pytest.param("five", 0.5, marks=pytest.mark.xfail(
-        strict=True, reason="every direction the 100 probes draw from seed 0 descends at "
-        "0.5 U*_V on the five-queue chain, though q ascends along queue 1")),
+    *itertools.product(("two", "five", "discq", "contq"), (0.5, 0.999, 1.001)),
     ("five", 0.6),
 ])
 @pytest.mark.parametrize("V", [1.0, 50.0, 100.0])
 def test_probe_flags_a_closed_form_off_the_maximizer(name, factor, V, request):
-    """A registered closed form away from U*_V gets probe_ok False under method="auto"."""
+    """Under method="auto" the registered U*_V gets probe_ok True, and a closed
+    form at factor * U*_V gets False, even 0.1% away."""
     handle = request.getfixturevalue(name)
     assert find_optimal_multiplier(handle, V).probe_ok
     wrong = dataclasses.replace(handle, u_star=lambda V: factor * handle.u_star(V))
     res = find_optimal_multiplier(wrong, V)
     assert res.method == "closed-form"
-    assert evaluate_dual(handle.spec, V, res.u_star).value < \
-        find_optimal_multiplier(handle, V, method="numeric").value
+    np.testing.assert_array_equal(res.u_star, factor * handle.u_star(V))
+    assert res.value < find_optimal_multiplier(handle, V, method="numeric").value
     assert not res.probe_ok
 
 
@@ -357,6 +356,13 @@ def test_continuous_search_needs_one_queue():
     spec = NetworkSpec("two-queue-continuous", 2, 1.0, [StateSpec(1.0, fam)])
     with pytest.raises(ValueError, match="needs one queue"):
         find_optimal_multiplier(spec, 10.0, method="numeric")
+    # A closed form there has no search to certify it: it comes back unchecked.
+    # (V, 0) is in fact a maximizer: q = 0.5 u_1 + min(0, V - u_1 - u_2).
+    handle = ScenarioHandle(spec, u_star=lambda V: np.array([V, 0.0]))
+    res = find_optimal_multiplier(handle, 10.0)
+    assert res.method == "closed-form" and not res.probe_ok
+    np.testing.assert_array_equal(res.u_star, [10.0, 0.0])
+    assert res.value == evaluate_dual(spec, 10.0, res.u_star).value == 5.0
 
 
 def test_continuous_search_overloaded_queue_raises():

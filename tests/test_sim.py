@@ -194,9 +194,12 @@ def test_burn_in_default_rule(five):
     (dict(stream=True), "stream must be an integer >= 0, got True"),
     (dict(stream=-1), "stream must be an integer >= 0, got -1"),
     (dict(stream=1.5), "stream must be an integer >= 0, got 1.5"),
-    (dict(algorithm="fqla-general", general_T=10.5), "T must be an integer >= 1, got 10.5"),
-    (dict(algorithm="fqla-general", general_K=True), "K must be an integer >= 1, got True"),
-    (dict(algorithm="fqla-bisect", bisect_T1=2.5), "T1 must be an integer >= 2, got 2.5"),
+    (dict(algorithm="fqla-general", general_T=10.5),
+     "general_T must be an integer >= 1, got 10.5"),
+    (dict(algorithm="fqla-general", general_K=True),
+     "general_K must be an integer >= 1, got True"),
+    (dict(algorithm="fqla-bisect", bisect_T1=2.5),
+     "bisect_T1 must be an integer >= 2, got 2.5"),
 ])
 def test_run_config_validation(five, kw, msg):
     base = dict(scenario=five, V=50.0, slots=5_000, seed=0)
