@@ -204,8 +204,11 @@ def cmd_sweep(args) -> int:
 # -- dual --------------------------------------------------------------------
 
 
-def _dual_csv_header(r: int) -> list[str]:
-    return [f"U_{j + 1}" for j in range(r)] + ["q"] + [f"G_{j + 1}" for j in range(r)]
+def _dual_csv(r: int, evals) -> str:
+    """CSV text with one U_*,q,G_* row per (multiplier u, its DualEval) pair."""
+    lines = [",".join([f"U_{j + 1}" for j in range(r)] + ["q"] + [f"G_{j + 1}" for j in range(r)])]
+    lines += [",".join(_fmt(x) for x in [*u, ev.value, *ev.subgradient]) for u, ev in evals]
+    return "\n".join(lines) + "\n"
 
 
 def cmd_dual(args) -> int:
@@ -229,10 +232,7 @@ def cmd_dual(args) -> int:
         print(f"argmin actions: {acts}")
         if args.out:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(",".join(_dual_csv_header(r)) + "\n")
-                row = [_fmt(x) for x in u] + [_fmt(ev.value)] + \
-                      [_fmt(g) for g in ev.subgradient]
-                fh.write(",".join(row) + "\n")
+                fh.write(_dual_csv(r, [(u, ev)]))
             print(f"wrote {args.out}")
         return 0
 
@@ -245,20 +245,14 @@ def cmd_dual(args) -> int:
         return 0
 
     lo, hi, steps = args.scan
-    steps = int(steps)
     if r > 2:
         raise UsageError("scan limited to r <= 2")
-    if steps < 2 or hi <= lo:
-        raise UsageError("scan needs hi > lo and at least 2 steps")
-    grid = np.linspace(max(lo, 0.0), hi, steps)
+    if not steps.is_integer() or steps < 2 or hi <= lo:
+        raise UsageError("scan needs hi > lo and an integer STEPS of at least 2")
+    grid = np.linspace(max(lo, 0.0), hi, int(steps))
     points = [np.array([a]) for a in grid] if r == 1 else \
         [np.array([a, b]) for a in grid for b in grid]
-    lines = [",".join(_dual_csv_header(r))]
-    for u in points:
-        ev = evaluate_dual(spec, args.V, u)
-        lines.append(",".join([_fmt(x) for x in u] + [_fmt(ev.value)]
-                              + [_fmt(g) for g in ev.subgradient]))
-    text = "\n".join(lines) + "\n"
+    text = _dual_csv(r, [(u, evaluate_dual(spec, args.V, u)) for u in points])
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

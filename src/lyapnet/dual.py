@@ -542,7 +542,6 @@ def theorem2_constants(B: float, L: float, V: "float | None" = None) -> TheoremC
     c1_star = 8.0 * (B * B + B * L / 6.0) * math.exp(L / (B + L / 6.0)) / (L * L)
     d_smooth = None
     if V is not None:
-        if not (V > 0):
-            raise ValueError(f"V must be positive, got {V!r}")
+        _check_V(V)
         d_smooth = (math.sqrt(V) + math.sqrt(V + 4.0 * B * B * L * V)) / (2.0 * L)
     return TheoremConstants(B, L, d1, k1, c1_star, 1.0 / k1, d_smooth)

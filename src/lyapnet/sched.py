@@ -215,10 +215,7 @@ def bisection_placeholder(scenario, V: float, T1: "int | None" = None,
     spec = handle.spec
     r = spec.r
     _check_V(V)
-    T1 = max(int(math.ceil(math.sqrt(V))), 2) if T1 is None else T1
-    if T1 < 2:
-        raise ValueError(f"T1 must be at least 2 slots, got {T1!r}")
-    T1 = _integer("T1", T1, 2)
+    T1 = max(int(math.ceil(math.sqrt(V))), 2) if T1 is None else _integer("T1", T1, 2)
     if guess is None:
         guess = 0.5 * spec.r * spec.delta_max * max(V, 1.0)
     if not (guess >= 0 and math.isfinite(guess)):
@@ -234,8 +231,8 @@ def bisection_placeholder(scenario, V: float, T1: "int | None" = None,
     if not isinstance(rng, np.random.Generator):
         rng = substream(int(rng), 0, 2)
     for _ in range(_BISECT_DEPTH):
-        traj = sim._loop(spec, [V], rng.spawn(1), T1, level[None], 0, paths=True)[0].W
-        slopes = slots_axis @ (traj[:T1] - traj[:T1].mean(axis=0)) / denom
+        traj = sim._loop(spec, [V], rng.spawn(1), T1, level[None], 0, paths=True)[0].trace.u
+        slopes = slots_axis @ (traj - traj.mean(axis=0)) / denom
         for j in range(r):
             if converged[j]:
                 continue

@@ -92,8 +92,8 @@ class RunConfig:
 
     Memory: the only per-slot series a run keeps is, with a reference
     point, the post burn-in deviation array (8 bytes per slot); the
-    costs, U and W paths, states, actions and per-slot drops are kept only
-    under ``record_trace``.  The invariant scans need O(r _CHUNK) memory.
+    per-slot states, actions, costs, slot-start U and W and drops are kept
+    only under ``record_trace``.  The invariant scans need O(r _CHUNK) memory.
     """
 
     scenario: "ScenarioHandle | NetworkSpec"
@@ -410,9 +410,9 @@ class _Run:
     The mean cost, the arrival and drop sums, the sandwich count, the
     deviations and the means ``avg_u``/``avg_w`` cover the slots from the
     burn-in on; ``final_u``/``final_w`` are the backlogs after the last
-    slot.  The fields from ``costs`` on, the trace, are None unless _loop
-    was asked for ``paths``; without it ``dev`` (8 bytes per slot, None
-    without a reference point) is the only per-slot series.
+    slot.  ``trace`` is None unless _loop was asked for ``paths``; without
+    it ``dev`` (8 bytes per slot, None without a reference point) is the
+    only per-slot series.
     """
 
     avg_cost: float
@@ -424,12 +424,7 @@ class _Run:
     avg_w: np.ndarray
     final_u: np.ndarray
     final_w: np.ndarray
-    costs: "np.ndarray | None" = None
-    states: "np.ndarray | None" = None
-    actions: "np.ndarray | None" = None
-    drops: "np.ndarray | None" = None
-    U: "np.ndarray | None" = None
-    W: "np.ndarray | None" = None
+    trace: "Trace | None" = None
 
 
 def _loop(spec, V, rngs, slots, w0, burn, wl=None, ref=None, paths=False, check=False):
@@ -461,9 +456,9 @@ def _loop(spec, V, rngs, slots, w0, burn, wl=None, ref=None, paths=False, check=
     NaN, for callers that read only the final backlogs.  ``check`` and
     ``paths`` need R = 1.  With ``check`` each block goes through
     _invariant_scan, which raises at its first offending slot.  With
-    ``paths`` each block is also copied out into the trace: the costs,
-    states, actions, drops per slot (None without placeholders) and the
-    (slots + 1, r) U and W paths.
+    ``paths`` each block is also copied out into the run's Trace: the
+    states, actions, costs and drops per slot (None without placeholders)
+    and the slot-start U and W rows (W None without placeholders).
     """
     R, r = len(rngs), spec.r
     assert R == 1 or not (paths or check), "traces and invariant scans are single-run"
@@ -508,11 +503,11 @@ def _loop(spec, V, rngs, slots, w0, burn, wl=None, ref=None, paths=False, check=
         fams = [st.actions for st in spec.states]
         acts = np.empty((rows, R))
         a_buf, mu_buf = np.empty((rows, R, r)), np.empty((rows, R, r))
-    if paths:  # the trace, into which each finished block is copied
-        t_costs, t_acts = np.empty(slots), np.empty(slots, dtype=acts.dtype)
-        t_idx, t_W = np.empty(slots, dtype=np.int64), np.empty((slots + 1, r))
-        t_U, t_drops = (t_W, None) if wl is None else (np.empty_like(t_W), np.empty(slots))
-        t_W[0], t_U[0] = W[0, 0], U[0, 0]
+    trace = None
+    if paths:  # each finished block is copied into it
+        t_w, t_drops = (None, None) if wl is None else (np.empty((slots, r)), np.empty(slots))
+        trace = Trace(np.empty(slots, dtype=np.int64), np.empty(slots, dtype=acts.dtype),
+                      np.empty(slots), np.empty((slots, r)), t_w, t_drops)
     zero = np.zeros(())  # an array zero spares np.maximum a scalar conversion
     if prologue:  # nothing reads the slots before burn but W: advance it in place
         w = W[0]
@@ -574,7 +569,7 @@ def _loop(spec, V, rngs, slots, w0, burn, wl=None, ref=None, paths=False, check=
             admit = np.maximum(a - np.maximum(wl - Wb[:n], 0.0), 0.0)
             dropped = a - admit
             if paths:
-                t_drops[t0:t1] = dropped[:, 0].sum(axis=1)
+                trace.dropped[t0:t1] = dropped[:, 0].sum(axis=1)
             drop_sum = _chained_sum(drop_sum, dropped[lo:])
             _queue_path(Ub.reshape(n + 1, R * r), mu.reshape(n, R * r), admit.reshape(n, R * r))
             bad += _sandwich_bad(Ub[1:], Wb[1:], wl, spec.delta_max).sum(axis=(0, 2))
@@ -585,8 +580,10 @@ def _loop(spec, V, rngs, slots, w0, burn, wl=None, ref=None, paths=False, check=
         if ref is not None and lo < n:
             dev[:, t0 + lo - burn:t1 - burn] = np.linalg.norm(Wb[lo:n] - ref, axis=2).T
         if paths:
-            t_costs[t0:t1], t_acts[t0:t1], t_idx[t0:t1] = cb[:, 0], ks[:, 0], states[:, 0]
-            t_W[t0 + 1:t1 + 1], t_U[t0 + 1:t1 + 1] = Wb[1:, 0], Ub[1:, 0]
+            trace.states[t0:t1], trace.actions[t0:t1] = states[:, 0], ks[:, 0]
+            trace.costs[t0:t1], trace.u[t0:t1] = cb[:, 0], Ub[:n, 0]
+            if wl is not None:
+                trace.w[t0:t1] = Wb[:n, 0]
         # last, as the means may overwrite the rows they add; row n carries
         # on into the next block
         w_mean.add(Wb[lo:n])
@@ -597,13 +594,9 @@ def _loop(spec, V, rngs, slots, w0, burn, wl=None, ref=None, paths=False, check=
             U[0] = Ub[n]
     avg_cost, avg_w = cost_mean.mean(), w_mean.mean()
     avg_u = avg_w if wl is None else u_mean.mean()
-    out = [_Run(float(avg_cost[k]), arr_sum[k], drop_sum[k], None if bad is None else int(bad[k]),
-                None if dev is None else dev[k], avg_u[k], avg_w[k], U[0, k].copy(),
-                W[0, k].copy()) for k in range(R)]
-    if paths:
-        out[0].costs, out[0].states, out[0].actions, out[0].drops, out[0].U, out[0].W = (
-            t_costs, t_idx, t_acts, t_drops, t_U, t_W)
-    return out
+    return [_Run(float(avg_cost[k]), arr_sum[k], drop_sum[k], None if bad is None else int(bad[k]),
+                 None if dev is None else dev[k], avg_u[k], avg_w[k], U[0, k].copy(),
+                 W[0, k].copy(), trace) for k in range(R)]
 
 
 # -- run ---------------------------------------------------------------------
@@ -637,11 +630,9 @@ def _resolve_placeholders(handle: ScenarioHandle, config: RunConfig) -> np.ndarr
         est = fqla_general_estimate(handle, V, T=config.general_T, K=config.general_K,
                                     rng=substream(config.seed, config.stream, 1))
         return est.placeholders
-    if config.algorithm == "fqla-bisect":
-        res = bisection_placeholder(handle, V, T1=config.bisect_T1, guess=config.bisect_guess,
-                                    rng=substream(config.seed, config.stream, 2))
-        return res.placeholders
-    raise ValueError(f"unknown algorithm {config.algorithm!r}")
+    res = bisection_placeholder(handle, V, T1=config.bisect_T1, guess=config.bisect_guess,
+                                rng=substream(config.seed, config.stream, 2))
+    return res.placeholders
 
 
 def default_burn_in(V: float, slots: int) -> int:
@@ -733,15 +724,7 @@ def _report(s: _Setup, lp: _Run) -> SimReport:
         report.deviation_reference = s.u_star
         report.deviations = lp.dev
 
-    if config.record_trace:
-        report.trace = Trace(
-            states=lp.states,
-            actions=lp.actions,
-            costs=lp.costs,
-            u=lp.U[:s.slots],
-            w=lp.W[:s.slots] if s.wl is not None else None,
-            dropped=lp.drops,
-        )
+    report.trace = lp.trace
     return report
 
 

@@ -154,6 +154,10 @@ def test_dual_at_matches_library(capsys):
      "--scan", "10", "5", "4"],                                # hi <= lo
     ["dual", "--scenario", "two-queue", "--V", "40",
      "--scan", "0", "10", "1"],                                # too few steps
+    ["dual", "--scenario", "two-queue", "--V", "40",
+     "--scan", "0", "10", "2.5"],                              # STEPS not an integer
+    ["dual", "--scenario", "two-queue", "--V", "40",
+     "--scan", "0", "10", "inf"],                              # STEPS infinite
 ])
 def test_dual_flag_errors_exit_2(argv, capsys):
     assert main(argv) == 2

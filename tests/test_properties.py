@@ -193,14 +193,19 @@ def assert_raw_bits_equal(spec, V, seed, slots, burn, w0, wl, ref, paths):
             "bad": None if wl is None else int(sim._sandwich_bad(U, W, wl, spec.delta_max).sum()),
             "dev": None,
             "avg_u": U[burn:slots].mean(axis=0), "avg_w": W[burn:slots].mean(axis=0),
-            "final_u": U[slots], "final_w": W[slots], "costs": None,
-            "states": None, "actions": None, "drops": None, "U": None, "W": None}
+            "final_u": U[slots], "final_w": W[slots]}
     if ref is not None:
         want["dev"] = np.linalg.norm(W[burn:slots] - ref, axis=1)
-    if paths:
-        want.update(costs=costs, states=idx, actions=acts, drops=drops_t, U=U, W=W)
+    if not paths:
+        assert got.trace is None
+    else:  # the trace keeps the slot-start rows only; final_u/final_w check the last
+        want.update({"trace.states": idx, "trace.actions": acts, "trace.costs": costs,
+                     "trace.u": U[:slots], "trace.w": None if wl is None else W[:slots],
+                     "trace.dropped": drops_t})
     for name, e in want.items():
-        g = getattr(got, name)
+        g = got
+        for part in name.split("."):
+            g = getattr(g, part)
         if e is None:
             assert g is None, name
         elif isinstance(e, int):

@@ -322,12 +322,12 @@ def test_bisection_depth_budget_warning(discq, monkeypatch):
     (dict(V=-2.0), "V must be positive and finite"),
     (dict(V=math.inf), "V must be positive and finite"),
     (dict(V=math.nan), "V must be positive and finite"),
-    (dict(T1=1), "T1 must be at least 2"),
-    (dict(T1=0), "T1 must be at least 2"),
+    (dict(T1=1), "T1 must be an integer >= 2"),
+    (dict(T1=0), "T1 must be an integer >= 2"),
     (dict(guess=math.nan), "guess must be finite and nonnegative"),
     (dict(guess=math.inf), "guess must be finite and nonnegative"),
     (dict(T1=2.5), r"T1 must be an integer >= 2, got 2.5"),
-    (dict(T1=True), "T1 must be at least 2"),
+    (dict(T1=True), "T1 must be an integer >= 2"),
     (dict(T1=np.float64(50.0)), "T1 must be an integer >= 2"),
 ])
 def test_bisection_rejects_bad_inputs(discq, kw, msg):
