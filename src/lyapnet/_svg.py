@@ -8,12 +8,13 @@ no timestamps.  Log-scale y drops nonpositive points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-__all__ = ["Series", "render_chart", "write_chart"]
+from .model import _Record
+
+__all__ = ["Series", "render_chart"]
 
 _PALETTE = ("#1f6fb2", "#d1495b", "#3a9e5f", "#8a5fb0", "#c98a2b", "#4d4d4d")
 
@@ -27,8 +28,7 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-@dataclass
-class Series:
+class Series(_Record):
     label: str
     x: np.ndarray
     y: np.ndarray
@@ -41,6 +41,12 @@ class Series:
             raise ValueError("series x and y must be 1-D arrays of equal length")
         if self.kind not in ("line", "scatter"):
             raise ValueError(f"unknown series kind {self.kind!r}")
+
+
+def _text(x, y, body: str, size: int = 11, fill: str = "#111111",
+          pre: str = ' text-anchor="middle"', post: str = "") -> str:
+    return (f'<text x="{x}" y="{y}"{pre} font-family="monospace" font-size="{size}" '
+            f'fill="{fill}"{post}>{_escape(body)}</text>')
 
 
 def _fmt_px(v: float) -> str:
@@ -133,13 +139,9 @@ def render_chart(series: Sequence[Series], *, title: str = "", caption: str = ""
                f'height="{_H}" viewBox="0 0 {_W} {_H}">')
     out.append(f'<rect x="0" y="0" width="{_W}" height="{_H}" fill="#ffffff"/>')
     if title:
-        out.append(f'<text x="{_W // 2}" y="22" text-anchor="middle" '
-                   f'font-family="monospace" font-size="14" fill="#111111">'
-                   f'{_escape(title)}</text>')
+        out.append(_text(_W // 2, 22, title, 14))
     if caption:
-        out.append(f'<text x="{_W // 2}" y="40" text-anchor="middle" '
-                   f'font-family="monospace" font-size="11" fill="#555555">'
-                   f'{_escape(caption)}</text>')
+        out.append(_text(_W // 2, 40, caption, fill="#555555"))
 
     x_ticks = _nice_ticks(x_lo, x_hi)
     y_ticks = _log_ticks(y_lo, y_hi) if log_y else _nice_ticks(y_lo, y_hi)
@@ -147,27 +149,19 @@ def render_chart(series: Sequence[Series], *, title: str = "", caption: str = ""
         xp = _fmt_px(px(t))
         out.append(f'<line x1="{xp}" y1="{_MT}" x2="{xp}" y2="{_MT + ph}" '
                    f'stroke="#dddddd" stroke-width="1"/>')
-        out.append(f'<text x="{xp}" y="{_MT + ph + 18}" text-anchor="middle" '
-                   f'font-family="monospace" font-size="11" fill="#333333">'
-                   f'{_fmt_val(t)}</text>')
+        out.append(_text(xp, _MT + ph + 18, _fmt_val(t), fill="#333333"))
     for t in y_ticks:
         yp = _fmt_px(py(t))
         out.append(f'<line x1="{_ML}" y1="{yp}" x2="{_ML + pw}" y2="{yp}" '
                    f'stroke="#dddddd" stroke-width="1"/>')
-        out.append(f'<text x="{_ML - 6}" y="{yp}" text-anchor="end" dy="4" '
-                   f'font-family="monospace" font-size="11" fill="#333333">'
-                   f'{_fmt_val(t)}</text>')
+        out.append(_text(_ML - 6, yp, _fmt_val(t), fill="#333333", pre=' text-anchor="end" dy="4"'))
     out.append(f'<rect x="{_ML}" y="{_MT}" width="{pw}" height="{ph}" '
                f'fill="none" stroke="#333333" stroke-width="1"/>')
     if xlabel:
-        out.append(f'<text x="{_ML + pw // 2}" y="{_H - 12}" text-anchor="middle" '
-                   f'font-family="monospace" font-size="12" fill="#111111">'
-                   f'{_escape(xlabel)}</text>')
+        out.append(_text(_ML + pw // 2, _H - 12, xlabel, 12))
     if ylabel:
         yc = _MT + ph // 2
-        out.append(f'<text x="16" y="{yc}" text-anchor="middle" '
-                   f'font-family="monospace" font-size="12" fill="#111111" '
-                   f'transform="rotate(-90 16 {yc})">{_escape(ylabel)}</text>')
+        out.append(_text(16, yc, ylabel, 12, post=f' transform="rotate(-90 16 {yc})"'))
 
     for si, (s, (sx, sy)) in enumerate(zip(series, pts)):
         color = _PALETTE[si % len(_PALETTE)]
@@ -186,13 +180,7 @@ def render_chart(series: Sequence[Series], *, title: str = "", caption: str = ""
         color = _PALETTE[si % len(_PALETTE)]
         out.append(f'<line x1="{_ML + pw - 130}" y1="{ly - 4}" x2="{_ML + pw - 106}" '
                    f'y2="{ly - 4}" stroke="{color}" stroke-width="2"/>')
-        out.append(f'<text x="{_ML + pw - 100}" y="{ly}" font-family="monospace" '
-                   f'font-size="11" fill="#111111">{_escape(s.label)}</text>')
+        out.append(_text(_ML + pw - 100, ly, s.label, pre=""))
         ly += 16
     out.append("</svg>")
     return "\n".join(out) + "\n"
-
-
-def write_chart(path: str, series: Sequence[Series], **kwargs) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(render_chart(series, **kwargs))

@@ -23,13 +23,14 @@ import numpy as np
 
 from . import scenarios
 from . import sim as simulation
-from ._svg import Series, write_chart
 from .dual import ConvergenceError, evaluate_dual, find_optimal_multiplier
 from .model import ValidationError, spec_to_dict
 from .sched import ALGORITHMS
 from .sim import _fmt
 
 __all__ = ["main"]
+
+_SCAN_POINTS = 10**5  # largest grid of lyapnet dual --scan
 
 
 class UsageError(Exception):
@@ -95,6 +96,18 @@ def _make_config(args, handle, V: float, seed: int) -> simulation.RunConfig:
         bisect_guess=args.bisect_guess,
         initial_backlog=_maybe_vector(args, "initial_backlog", r),
     )
+
+
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+
+
+def write_chart(path: str, series, **kw) -> None:
+    """Write an SVG chart of ``(label, x, y[, kind])`` series; loads the plotting module only here."""
+    from ._svg import Series, render_chart
+
+    _write(path, render_chart([Series(*s) for s in series], **kw))
 
 
 def _summary_line(rep: simulation.SimReport) -> str:
@@ -194,7 +207,7 @@ def cmd_sweep(args) -> int:
             rows = [(rep.V, getattr(rep, field)) for rep in reports if rep.seed == seed]
             if rows:
                 xs, ys = zip(*rows)
-                series.append(Series(f"seed {seed}", np.array(xs), np.array(ys)))
+                series.append((f"seed {seed}", np.array(xs), np.array(ys)))
         write_chart(path, series, title=title, caption=caption, xlabel="V", ylabel=ylabel,
                     log_y=log_y)
         print(f"wrote {path}")
@@ -221,9 +234,7 @@ def cmd_dual(args) -> int:
         raise UsageError("choose exactly one of --at, --find-opt, --scan")
 
     if args.at is not None:
-        u = _vector(args.at, "at")
-        if u.shape != (r,):
-            raise UsageError(f"--at needs {r} entries, got {u.size}")
+        u = _maybe_vector(args, "at", r)
         ev = evaluate_dual(spec, args.V, u)
         print(f"q(U) = {_fmt(ev.value)}")
         print("G(U) = (" + ", ".join(_fmt(g) for g in ev.subgradient) + ")")
@@ -231,8 +242,7 @@ def cmd_dual(args) -> int:
                         for a in ev.argmin_actions)
         print(f"argmin actions: {acts}")
         if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(_dual_csv(r, [(u, ev)]))
+            _write(args.out, _dual_csv(r, [(u, ev)]))
             print(f"wrote {args.out}")
         return 0
 
@@ -246,16 +256,18 @@ def cmd_dual(args) -> int:
 
     lo, hi, steps = args.scan
     if r > 2:
-        raise UsageError("scan limited to r <= 2")
-    if not steps.is_integer() or steps < 2 or hi <= lo:
-        raise UsageError("scan needs hi > lo and an integer STEPS of at least 2")
+        raise UsageError("--scan is limited to r <= 2")
+    if not (math.isfinite(lo) and math.isfinite(hi) and hi > max(lo, 0.0)):
+        raise UsageError("--scan needs finite LO and HI with HI > max(LO, 0)")
+    if not steps.is_integer() or steps < 2 or int(steps) ** r > _SCAN_POINTS:
+        raise UsageError(f"--scan needs an integer STEPS of at least 2, with STEPS^r "
+                         f"at most {_SCAN_POINTS} grid points")
     grid = np.linspace(max(lo, 0.0), hi, int(steps))
     points = [np.array([a]) for a in grid] if r == 1 else \
         [np.array([a, b]) for a in grid for b in grid]
     text = _dual_csv(r, [(u, evaluate_dual(spec, args.V, u)) for u in points])
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        _write(args.out, text)
         print(f"wrote {len(points)} grid points to {args.out}")
     else:
         sys.stdout.write(text)
@@ -316,10 +328,7 @@ def cmd_analyze(args) -> int:
         D = args.D if args.D is not None else float(np.percentile(dev, 75.0))
         curve = simulation.curve_from_deviations(dev, D)
         if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write("m,p\n")
-                for m, p in zip(curve.m, curve.p):
-                    fh.write(f"{m},{_fmt(p)}\n")
+            _write(args.out, "m,p\n" + "".join(f"{m},{_fmt(p)}\n" for m, p in zip(curve.m, curve.p)))
             print(f"wrote {args.out}")
         fit = simulation.fit_tail(curve)
         print(f"D = {_fmt(D)}  samples = {curve.n_samples}")
@@ -330,8 +339,7 @@ def cmd_analyze(args) -> int:
             ms = curve.m[mask].astype(float)
             fitted = fit.c_hat * np.exp(-fit.beta_hat * ms)
             write_chart(args.plot,
-                        [Series("empirical", ms, curve.p[mask], kind="scatter"),
-                         Series("fit", ms, fitted)],
+                        [("empirical", ms, curve.p[mask], "scatter"), ("fit", ms, fitted)],
                         title="Deviation tail P(D, m)", caption=caption,
                         xlabel="m", ylabel="fraction of slots", log_y=True)
             print(f"wrote {args.plot}")
@@ -371,9 +379,7 @@ def cmd_analyze(args) -> int:
 def cmd_export_scenario(args) -> int:
     handle = _load_scenario(args)
     payload = spec_to_dict(handle.spec)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    _write(args.out, json.dumps(payload, indent=2) + "\n")
     print(f"wrote {handle.name} to {args.out}")
     return 0
 

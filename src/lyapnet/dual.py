@@ -28,12 +28,11 @@ queues have no numeric search.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .model import ContinuousActions, NetworkSpec, tables
+from .model import ContinuousActions, NetworkSpec, _Record, tables
 from .scenarios import ScenarioHandle, as_handle
 
 __all__ = [
@@ -62,8 +61,7 @@ class ConvergenceError(RuntimeError):
     """Multiplier search failed: the dual is unbounded or the LP did not solve."""
 
 
-@dataclass
-class DualEval:
+class DualEval(_Record):
     """q(u), one subgradient, and the per-state minimizers behind them."""
 
     value: float
@@ -71,8 +69,7 @@ class DualEval:
     argmin_actions: list
 
 
-@dataclass
-class MultiplierResult:
+class MultiplierResult(_Record):
     u_star: np.ndarray
     value: float
     method: str  # "closed-form" | "numeric"
@@ -80,8 +77,7 @@ class MultiplierResult:
     probe_ok: bool
 
 
-@dataclass
-class GeometryEstimate:
+class GeometryEstimate(_Record):
     """Local shape of q at V=1 near its maximizer.
 
     ``kind`` follows from the action set: "polyhedral" when every state
@@ -102,8 +98,7 @@ class GeometryEstimate:
     n_directions: int
 
 
-@dataclass
-class TheoremConstants:
+class TheoremConstants(_Record):
     """Attraction constants for a polyhedral dual with modulus L.
 
     Built with eta = L/2 and the i.i.d. state specialization (nu = 0,
@@ -122,8 +117,7 @@ class TheoremConstants:
     d_smooth: float | None = None
 
 
-@dataclass
-class ScalingReport:
+class ScalingReport(_Record):
     """Residuals of the multiplier scaling identity U*_V = V U*_1."""
 
     u_star_1: np.ndarray
@@ -132,8 +126,7 @@ class ScalingReport:
     ok: bool
 
 
-@dataclass
-class SlacknessResult:
+class SlacknessResult(_Record):
     """LP certificate for average service slack epsilon.
 
     ``witness`` is a per-state distribution over actions whose mean

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import reprlib
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -42,6 +43,7 @@ __all__ = [
 
 _PROB_TOL = 1e-9
 _RANGE_TOL = 1e-12
+_F64 = np.dtype(float)
 
 
 class ValidationError(ValueError):
@@ -52,22 +54,53 @@ class ValidationError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
-@dataclass
-class ActionRecord:
-    """One feasible action: cost plus per-queue arrival and service vectors."""
+class _Record:
+    """Base of the package's dataclasses: a subclass becomes one, with ``repr=False, eq=False``.
+
+    The repr and == below spare import generating a pair per class and keep what those
+    did: the same text (``...`` on recursion), == on the compare fields' tuples of one
+    class (NotImplemented across classes), and no hash.
+    """
+
+    __hash__ = None
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        dataclass(cls, repr=False, eq=False)
+
+    @reprlib.recursive_repr()
+    def __repr__(self):
+        return self.__class__.__qualname__ + "(" + ", ".join(
+            f"{f.name}={getattr(self, f.name)!r}" for f in fields(self) if f.repr) + ")"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        names = [f.name for f in fields(self) if f.compare]
+        return tuple(getattr(self, n) for n in names) == tuple(getattr(other, n) for n in names)
+
+
+class ActionRecord(_Record):
+    """One feasible action: cost plus per-queue arrival and service vectors.
+
+    Keeps a Python-float cost and float64 ndarray vectors as given (what
+    ``float`` and ``np.asarray`` return for them) and converts other inputs.
+    """
 
     cost: float
     arrivals: np.ndarray
     services: np.ndarray
 
     def __post_init__(self):
-        self.cost = float(self.cost)
-        self.arrivals = np.asarray(self.arrivals, dtype=float)
-        self.services = np.asarray(self.services, dtype=float)
+        if type(self.cost) is not float:
+            self.cost = float(self.cost)
+        if type(self.arrivals) is not np.ndarray or self.arrivals.dtype is not _F64:
+            self.arrivals = np.asarray(self.arrivals, dtype=float)
+        if type(self.services) is not np.ndarray or self.services.dtype is not _F64:
+            self.services = np.asarray(self.services, dtype=float)
 
 
-@dataclass
-class ContinuousActions:
+class ContinuousActions(_Record):
     """Scalar decision x in [lo, hi] with closed-form maps.
 
     ``dual_argmin(V, u) -> x`` must return the minimizer of
@@ -85,22 +118,21 @@ class ContinuousActions:
     dual_argmin: Callable[[float, np.ndarray], float]
 
 
-@dataclass
-class StateSpec:
+class StateSpec(_Record):
     """One network state: its probability and feasible action set."""
 
     prob: float
     actions: "list[ActionRecord] | ContinuousActions"
 
 
-@dataclass(eq=False)
-class NetworkSpec:
+class NetworkSpec(_Record):
     """Full scenario: r queues, traffic bound delta_max, i.i.d. states."""
 
     name: str
     r: int
     delta_max: float
     states: list[StateSpec]
+    __eq__, __hash__ = object.__eq__, object.__hash__  # identity: _run_batched keys dicts by spec
 
     def __post_init__(self):
         self._validate()
@@ -134,8 +166,9 @@ class NetworkSpec:
             raise ValidationError("delta_max", f"must be positive, got {self.delta_max!r}")
         if not self.states:
             raise ValidationError("states", "must contain at least one state")
-        total = 0.0
         finite = isinstance(self.states[0].actions, list)
+        bad = self._first_bad_record() if finite else None
+        total = 0.0
         for i, st in enumerate(self.states):
             path = f"states[{i}]"
             if not (st.prob >= 0):
@@ -149,19 +182,21 @@ class NetworkSpec:
             if finite:
                 if not st.actions:
                     raise ValidationError(f"{path}.actions", "must contain at least one action")
-                self._validate_table(f"{path}.actions", st.actions)
+                if bad and bad[0] == i:
+                    self._validate_action(f"{path}.actions[{bad[1]}]", st.actions[bad[1]])
             else:
                 self._validate_continuous(path, st.actions)
         if abs(total - 1.0) > _PROB_TOL:
             raise ValidationError("states", f"probabilities sum to {total!r}, expected 1")
 
-    def _validate_table(self, path: str, acts: list[ActionRecord]):
-        """Check a finite table at once; raise for its first bad record.
+    def _first_bad_record(self) -> "tuple[int, int] | None":
+        """(state, action) of the first bad record of the tables, found in one stacked pass.
 
-        One pass over the stacked costs and traffic vectors finds the first
-        bad record, and ``_validate_action`` then reports its first bad
-        entry: the cost, then arrivals[0..r-1], then services[0..r-1].
+        ``_validate`` raises for it on reaching its state, so errors keep state order, and
+        ``_validate_action`` names its first bad entry: cost, arrivals[j], then services[j].
         """
+        tabs = [(i, st.actions) for i, st in enumerate(self.states) if isinstance(st.actions, list)]
+        acts = [a for _, t in tabs for a in t]
         want = (self.r,)
         n = next((k for k, a in enumerate(acts)
                   if a.arrivals.shape != want or a.services.shape != want), len(acts))
@@ -174,8 +209,11 @@ class NetworkSpec:
             ok = np.isfinite(cost) & ((traffic >= lo) & (traffic <= hi)).all(axis=1)
             if not ok.all():
                 n = int(ok.argmin())
-        if n < len(acts):
-            self._validate_action(f"{path}[{n}]", acts[n])
+        for i, t in tabs:
+            if n < len(t):
+                return i, n
+            n -= len(t)
+        return None
 
     def _validate_action(self, path: str, act: ActionRecord):
         if not math.isfinite(act.cost):
@@ -364,8 +402,7 @@ def load_spec_json(path: str) -> NetworkSpec:
 # -- precomputed action tables ----------------------------------------------
 
 
-@dataclass
-class _Tables:
+class _Tables(_Record):
     """Numpy views of a finite scenario, per state and stacked.
 
     ``sma`` is services minus arrivals, the coefficient of the backlog vector

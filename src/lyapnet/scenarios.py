@@ -9,7 +9,6 @@ queues receive exogenous arrivals (used only for drop accounting).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -19,6 +18,7 @@ from .model import (
     ContinuousActions,
     NetworkSpec,
     StateSpec,
+    _Record,
     load_spec_json,
 )
 
@@ -35,8 +35,7 @@ __all__ = [
 ]
 
 
-@dataclass
-class ScenarioHandle:
+class ScenarioHandle(_Record):
     """A NetworkSpec bundled with registered scenario knowledge.
 
     ``u_star`` maps V to the optimal multiplier vector when a closed form
@@ -98,20 +97,16 @@ def _chain_spec(name: str, n: int) -> NetworkSpec:
     return NetworkSpec(name, n, 2.0, states)
 
 
-def _chain_u_star(n: int) -> Callable[[float], np.ndarray]:
+def _chain(name: str, n: int, f_star: float) -> ScenarioHandle:
+    """The n-queue chain with its closed forms; only queue 0 takes exogenous arrivals."""
     # Bad-channel indifference points: V at the tail queue, spaced by V upstream.
     coeff = np.arange(n, 0, -1, dtype=float)
-    return lambda V: coeff * V
+    return ScenarioHandle(_chain_spec(name, n), lambda V: coeff * V, f_star, exogenous=(0,))
 
 
 def two_queue() -> ScenarioHandle:
     """Two-queue tandem: 8 states, 4 actions per state, delta_max = 2."""
-    return ScenarioHandle(
-        spec=_chain_spec("two-queue", 2),
-        u_star=_chain_u_star(2),
-        f_star=1.5,
-        exogenous=(0,),
-    )
+    return _chain("two-queue", 2, 1.5)
 
 
 def five_queue_chain() -> ScenarioHandle:
@@ -121,12 +116,7 @@ def five_queue_chain() -> ScenarioHandle:
     (each queue drains the 1.25 packets/slot load at average power 0.75 by
     spending good-channel slots first).
     """
-    return ScenarioHandle(
-        spec=_chain_spec("five-queue-chain", 5),
-        u_star=_chain_u_star(5),
-        f_star=3.75,
-        exogenous=(0,),
-    )
+    return _chain("five-queue-chain", 5, 3.75)
 
 
 # -- single queue, rate-power control ---------------------------------------

@@ -16,13 +16,12 @@ and arrivals are throttled only when W dips below the placeholder.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .dual import _check_V, _integer, _one_state, _state_argmin
-from .model import NetworkSpec, queue_update, substream
+from .model import NetworkSpec, _Record, queue_update, substream
 from .scenarios import as_handle
 
 __all__ = [
@@ -42,8 +41,7 @@ __all__ = [
 ALGORITHMS = ("qla", "fqla-ideal", "fqla-general", "fqla-bisect")
 
 
-@dataclass
-class Decision:
+class Decision(_Record):
     """Chosen action with its cost, arrival and service vectors."""
 
     action: "int | float"
@@ -52,8 +50,7 @@ class Decision:
     services: np.ndarray
 
 
-@dataclass
-class FqlaState:
+class FqlaState(_Record):
     """Running state of a delay-reduced run: actual and virtual backlogs."""
 
     u: np.ndarray
@@ -123,8 +120,7 @@ def fqla_step(st: FqlaState, decision: Decision) -> FqlaState:
     )
 
 
-@dataclass
-class GeneralEstimate:
+class GeneralEstimate(_Record):
     """Placeholder estimate from virtual warmup runs."""
 
     placeholders: np.ndarray
@@ -169,8 +165,7 @@ def fqla_general_estimate(scenario, V: float, T: "int | None" = None, K: int = 2
     return GeneralEstimate(placeholders, w_mean, T, K)
 
 
-@dataclass
-class BisectionResult:
+class BisectionResult(_Record):
     """Placeholder estimate from trajectory-trend bisection.
 
     ``levels`` are the located hover levels (pre-backoff); ``converged``

@@ -15,13 +15,12 @@ bit-identical report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .dual import _check_V, _finite_argmin, _integer, _levels, per_state_optimum
-from .model import NetworkSpec, sample_states, substream, tables
+from .model import NetworkSpec, _Record, sample_states, substream, tables
 from .scenarios import ScenarioHandle, as_handle
 from .sched import (
     ALGORITHMS,
@@ -72,8 +71,7 @@ class TailFitError(ValueError):
     pass
 
 
-@dataclass
-class RunConfig:
+class RunConfig(_Record):
     """One simulation run.
 
     ``burn_in`` defaults to default_burn_in(V, slots).  ``stream`` selects
@@ -114,8 +112,7 @@ class RunConfig:
     initial_backlog: "np.ndarray | None" = None
 
 
-@dataclass
-class Trace:
+class Trace(_Record):
     """Per-slot record; backlogs are slot-start values."""
 
     states: np.ndarray
@@ -126,8 +123,7 @@ class Trace:
     dropped: "np.ndarray | None"
 
 
-@dataclass
-class SimReport:
+class SimReport(_Record):
     """Summary of one run.
 
     Averages, the drop accounting (``drops`` / ``offered`` /
@@ -165,8 +161,7 @@ class SimReport:
     trace: "Trace | None" = None
 
 
-@dataclass
-class DeviationCurve:
+class DeviationCurve(_Record):
     """m -> empirical fraction of slots with deviation > D + m."""
 
     D: float
@@ -175,8 +170,7 @@ class DeviationCurve:
     n_samples: int
 
 
-@dataclass
-class TailFit:
+class TailFit(_Record):
     """Least-squares exponential fit p ~ c_hat * exp(-beta_hat m)."""
 
     c_hat: float
@@ -187,8 +181,7 @@ class TailFit:
     n_bins: int
 
 
-@dataclass
-class AbsorptionReport:
+class AbsorptionReport(_Record):
     """Single-queue absorbing-interval verdict.
 
     ``interval`` is [min_i U*_si - B, max_i U*_si + B] from the per-state
@@ -403,8 +396,7 @@ def _stacked_step(tab):
     return step
 
 
-@dataclass
-class _Run:
+class _Run(_Record):
     """What _loop returns for one run.
 
     The mean cost, the arrival and drop sums, the sandwich count, the
@@ -640,8 +632,7 @@ def default_burn_in(V: float, slots: int) -> int:
     return int(min(100 * V, slots // 10))
 
 
-@dataclass
-class _Setup:
+class _Setup(_Record):
     """A validated config with what _loop needs resolved: W(0), the placeholders
     (None under qla) and the deviation reference (None without one)."""
 

@@ -158,10 +158,42 @@ def test_dual_at_matches_library(capsys):
      "--scan", "0", "10", "2.5"],                              # STEPS not an integer
     ["dual", "--scenario", "two-queue", "--V", "40",
      "--scan", "0", "10", "inf"],                              # STEPS infinite
+    ["dual", "--scenario", "two-queue", "--V", "40",
+     "--scan", "0", "inf", "3"],                               # HI infinite
+    ["dual", "--scenario", "two-queue", "--V", "40",
+     "--scan", "nan", "5", "3"],                               # LO not a number
+    ["dual", "--scenario", "two-queue", "--V", "40",
+     "--scan", "-10", "-5", "3"],                              # no nonnegative part
+    ["dual", "--scenario", "two-queue", "--V", "40",
+     "--scan", "-5", "0", "3"],                                # only u = 0
+    ["dual", "--scenario", "two-queue", "--V", "40",
+     "--scan", "0", "10", "1e9"],                              # 1e18 grid points
+    ["dual", "--scenario", "single-queue-discrete", "--V", "40",
+     "--scan", "0", "10", "100001"],                           # one point too many
 ])
-def test_dual_flag_errors_exit_2(argv, capsys):
+def test_dual_flag_errors_exit_2(argv, capsys, monkeypatch):
+    """Bad flags exit 2; a bad --scan is named, before any grid is allocated."""
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the scan grid was allocated")
+
+    monkeypatch.setattr(cli.np, "linspace", no_grid)
     assert main(argv) == 2
-    capsys.readouterr()
+    err = capsys.readouterr().err
+    assert "--scan" in err or "--scan" not in argv
+
+
+@pytest.mark.parametrize("steps,code", [("4", 0), ("5", 2)])
+def test_dual_scan_grid_limit_counts_every_point(steps, code, monkeypatch, capsys):
+    """STEPS^r is what is capped: with the limit at 16, a 4 x 4 grid on two
+    queues runs and a 5 x 5 one is rejected."""
+    monkeypatch.setattr(cli, "_SCAN_POINTS", 16)
+    assert main(["dual", "--scenario", "two-queue", "--V", "40",
+                 "--scan", "0", "10", steps]) == code
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert out.count("\n") == 17  # the header and 16 points
+    else:
+        assert "at most 16 grid points" in err
 
 
 def test_dual_find_opt_closed_form(capsys):
@@ -562,12 +594,12 @@ def test_sweep_reports_failed_cells(tmp_path, capsys):
 def test_import_leaves_network_and_process_modules_unloaded():
     """xml.sax.saxutils pulls in urllib.request, http.client, ssl and email,
     and ProcessPoolExecutor pulls in multiprocessing: a cold CLI start loads
-    none of them."""
+    none of them, nor the plotting module, which only a chart loads."""
     import lyapnet
 
     src = os.path.dirname(os.path.dirname(lyapnet.__file__))
     heavy = ["xml.sax", "urllib.request", "http.client", "ssl", "email",
-             "concurrent.futures.process", "multiprocessing"]
+             "concurrent.futures.process", "multiprocessing", "lyapnet._svg"]
     code = f"import sys, lyapnet.cli; print([m for m in {heavy!r} if m in sys.modules])"
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -10,6 +11,7 @@ from lyapnet.model import (
     NetworkSpec,
     StateSpec,
     ValidationError,
+    _Record,
     load_spec_json,
     one_step_distance_contract_check,
     queue_update,
@@ -277,3 +279,147 @@ def test_padded_tables_match_ragged_tables():
         assert np.isposinf(tab.cost_pad[i, n:]).all()
         for stack in (tab.arr_pad, tab.svc_pad, tab.sma_pad):
             assert (stack[i, n:] == 0.0).all()
+
+
+# -- shared record methods ---------------------------------------------------
+
+
+def _package_dataclasses():
+    from lyapnet import _svg, dual, model, scenarios, sched, sim
+
+    return [c for m in (model, scenarios, dual, sched, sim, _svg) for c in vars(m).values()
+            if isinstance(c, type) and dataclasses.is_dataclass(c) and c.__module__ == m.__name__]
+
+
+_RECORDS = _package_dataclasses()
+
+
+def _stock(cls):
+    """The class stock dataclasses makes over cls's fields, with generated repr and ==."""
+    return dataclasses.make_dataclass(cls.__name__, [
+        (f.name, f.type, dataclasses.field(repr=f.repr, compare=f.compare))
+        for f in dataclasses.fields(cls)])
+
+
+def _bare(cls, values):
+    """An instance of cls holding ``values``, without running its __init__ checks."""
+    obj = object.__new__(cls)
+    for f, v in zip(dataclasses.fields(cls), values):
+        setattr(obj, f.name, v)
+    return obj
+
+
+def _outcome(fn):
+    try:
+        return "returns", fn()
+    except Exception as e:  # the stock method's exception type is part of its behaviour
+        return "raises", type(e)
+
+
+def test_every_package_dataclass_shares_the_record_methods():
+    assert len(_RECORDS) == 25
+    for cls in _RECORDS:
+        assert issubclass(cls, _Record), cls
+        own = {"__repr__", "__eq__"} & set(vars(cls))
+        assert own == ({"__eq__"} if cls is NetworkSpec else set()), cls
+
+
+@pytest.mark.parametrize("cls", _RECORDS, ids=lambda c: c.__name__)
+def test_record_repr_and_eq_match_stock_dataclasses(cls):
+    """repr, == and != give what generated methods give, across classes too,
+    and hash() raises; NetworkSpec compares and hashes by identity."""
+    ref = _stock(cls)
+    n = len(dataclasses.fields(cls))
+    arr, nan = np.arange(3.0), math.nan
+    rows = [list(range(n)), [f"s{k}'\"" for k in range(n)], [nan] * n, [arr] * n,
+            [None] * n, [np.array([1.5])] * n, [(k, [k / 3]) for k in range(n)]]
+    for x in rows:
+        a, ra = _bare(cls, x), ref(*x)
+        assert repr(a) == repr(ra)
+        for y in rows + [x[:-1] + ["other"], ["other"] + x[1:], [v.copy() if v is arr else v
+                                                                for v in x]]:
+            b, rb = _bare(cls, y), ref(*y)
+            if cls is NetworkSpec:
+                assert (a == b, a != b, a == a) == (a is b, a is not b, True)
+                continue
+            assert _outcome(lambda: a == b) == _outcome(lambda: ra == rb)
+            assert _outcome(lambda: a != b) == _outcome(lambda: ra != rb)
+        assert a.__eq__(ra) is NotImplemented and ra.__eq__(a) is NotImplemented
+        assert (a == ra, a != ra, a == 1) == (False, True, False)
+        if cls is NetworkSpec:
+            assert hash(a) == object.__hash__(a)
+        else:
+            with pytest.raises(TypeError):
+                hash(a)
+    loop, rloop = _bare(cls, [None] * n), ref(*[None] * n)
+    first = dataclasses.fields(cls)[0].name
+    setattr(loop, first, loop)
+    setattr(rloop, first, rloop)
+    assert repr(loop) == repr(rloop)  # "..." where the record recurses into itself
+
+
+def test_action_record_keeps_float_and_float64_inputs():
+    arr, svc = np.array([0.5, 1.0]), np.array([1.0, 0.0])
+    act = ActionRecord(2.0, arr, svc)
+    assert act.arrivals is arr and act.services is svc
+    conv = ActionRecord(np.float64(2.0), [1, 0], np.array([1, 0], dtype=np.int64))
+    assert type(conv.cost) is float and conv.cost == 2.0
+    for vec in (conv.arrivals, conv.services):
+        assert type(vec) is np.ndarray and vec.dtype == np.float64
+        np.testing.assert_array_equal(vec, [1.0, 0.0])
+
+
+# -- validation order --------------------------------------------------------
+
+
+def _good():
+    return [ActionRecord(0.0, [0.0, 0.0], [0.0, 0.0]), ActionRecord(1.0, [1.0, 0.0], [0.0, 2.0])]
+
+
+def _bad():  # arrivals[1] of action 1 exceeds delta_max = 2
+    return [ActionRecord(0.0, [0.0, 0.0], [0.0, 0.0]), ActionRecord(1.0, [0.0, 2.5], [0.0, 1.0])]
+
+
+def _family():
+    return ContinuousActions(0.0, 1.0, cost=lambda x: x, arrivals=lambda x: np.array([0.5, 0.0]),
+                             services=lambda x: np.array([x, 0.0]), dual_argmin=lambda V, u: 0.0)
+
+
+_RANGE = f"must lie in [0, delta_max=2.0], got {np.float64(2.5)!r}"
+_MIXED = "mixes finite tables and continuous families; every state must be of state 0's kind"
+
+# (probability, actions) per state, and the (path, message) the per-state
+# checks raised before the tables were checked in one stacked pass
+_ORDER_CASES = {
+    "record-then-prob": ([(0.5, _bad), (-0.5, _good), (1.0, _good)],
+                         ("states[0].actions[1].arrivals[1]", _RANGE)),
+    "prob-then-record": ([(0.5, _good), (-0.5, _good), (1.0, _bad)],
+                         ("states[1].prob", "must be nonnegative, got -0.5")),
+    "prob-and-record-in-one-state": ([(-0.5, _bad), (1.5, _good)],
+                                     ("states[0].prob", "must be nonnegative, got -0.5")),
+    "empty-then-record": ([(0.5, _good), (0.5, list), (0.0, _bad)],
+                          ("states[1].actions", "must contain at least one action")),
+    "record-then-empty": ([(0.5, _bad), (0.5, list)],
+                          ("states[0].actions[1].arrivals[1]", _RANGE)),
+    "record-then-continuous": ([(0.5, _good), (0.25, _bad), (0.25, _family)],
+                               ("states[1].actions[1].arrivals[1]", _RANGE)),
+    "table-then-continuous": ([(0.5, _good), (0.5, _family)], ("states[1].actions", _MIXED)),
+    "continuous-then-bad-table": ([(0.5, _family), (0.5, _bad)], ("states[1].actions", _MIXED)),
+    "record-then-unsupported": ([(0.5, _bad), (0.5, lambda: ("not", "a", "list"))],
+                                ("states[0].actions[1].arrivals[1]", _RANGE)),
+    "last-state-only": ([(0.25, _good), (0.25, _good), (0.5, lambda: _good() + _bad())],
+                        ("states[2].actions[3].arrivals[1]", _RANGE)),
+    "last-state-short-vector": ([(0.5, _good), (0.5, lambda: _good() + [
+        ActionRecord(0.0, [0.0], [0.0, 0.0])])],
+        ("states[1].actions[2].arrivals", "expected length 2, got shape (1,)")),
+    "record-then-bad-sum": ([(0.3, _good), (0.3, _bad)],
+                            ("states[1].actions[1].arrivals[1]", _RANGE)),
+}
+
+
+@pytest.mark.parametrize("case", list(_ORDER_CASES))
+def test_validation_raises_the_first_error_in_state_order(case):
+    states, (path, message) = _ORDER_CASES[case]
+    with pytest.raises(ValidationError) as err:
+        NetworkSpec("order", 2, 2.0, [StateSpec(p, build()) for p, build in states])
+    assert (err.value.path, str(err.value)) == (path, f"{path}: {message}")
