@@ -6,14 +6,16 @@ in parallel), ``dual`` (evaluate / maximize / scan the dual function),
 ``export-scenario`` (write a built-in as a scenario JSON file).
 
 Exit codes: 0 success, 1 runtime error or failed check, 2 flag/validation
-error.  Diagnostics go to standard error.  LYAPNET_SEED sets the default
-seed.  CSV and SVG outputs are byte-stable for identical inputs.
+error.  Diagnostics go to standard error.  Only ``run`` takes ``--seed``
+(default LYAPNET_SEED, else 0).  CSV and SVG outputs are byte-stable for
+identical inputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -125,7 +127,8 @@ def _summary_line(rep: simulation.SimReport) -> str:
 
 def cmd_run(args) -> int:
     handle = _load_scenario(args)
-    rep = simulation.run(_make_config(args, handle, args.V, args.seed))
+    seed = _env_seed() if args.seed is None else args.seed
+    rep = simulation.run(_make_config(args, handle, args.V, seed))
     if args.trace:
         simulation.write_trace_csv(rep, args.trace)
     if args.report:
@@ -137,16 +140,17 @@ def cmd_run(args) -> int:
 # -- sweep -------------------------------------------------------------------
 
 
-def _sweep_worker(batch):
+def _sweep_worker(batch, handle=None):
     """Run a batch ``(args, [(V, seed), ...])`` of sweep cells as one batched kernel.
 
     Returns ("ok", report) or ("err", message) per cell, in order.  Each
     cell's config is checked and resolved on its own first, so a bad cell
     fails alone; the good ones then run together through the second step
-    of sim.run_many, which keeps no per-slot series.
+    of sim.run_many, which keeps no per-slot series.  Only a worker process
+    loads the scenario; an in-process sweep passes the ``handle`` it built.
     """
     args, cells = batch
-    handle = _load_scenario(args)
+    handle = handle or _load_scenario(args)
     results, setups = [], []
     for V, seed in cells:
         try:
@@ -176,7 +180,7 @@ def cmd_sweep(args) -> int:
     batches = [(args, cells[k * len(cells) // jobs:(k + 1) * len(cells) // jobs])
                for k in range(jobs)]
     if jobs == 1:
-        results = _sweep_worker(batches[0])
+        results = _sweep_worker(batches[0], handle)
     else:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing; only here
 
@@ -387,19 +391,17 @@ def cmd_export_scenario(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    seed_default = _env_seed()
     parser = argparse.ArgumentParser(
         prog="lyapnet",
         description="Quadratic-Lyapunov scheduling: simulate, analyze, and "
                     "probe the dual problem.")
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", required=True)
 
     scenario_flags = argparse.ArgumentParser(add_help=False)
     scenario_flags.add_argument("--scenario", help="built-in scenario name")
     scenario_flags.add_argument("--file", help="scenario JSON file")
-    scenario_flags.add_argument("--seed", type=int, default=seed_default,
-                                help="RNG seed (default: LYAPNET_SEED or 0)")
 
     run_flags = argparse.ArgumentParser(add_help=False)
     run_flags.add_argument("--alg", choices=ALGORITHMS, default="qla")
@@ -417,6 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", parents=[scenario_flags, run_flags],
                            help="simulate one run")
     p_run.add_argument("--V", type=float, required=True)
+    p_run.add_argument("--seed", type=int, help="RNG seed (default: LYAPNET_SEED or 0)")
     p_run.add_argument("--trace", default=None, help="write per-slot trace CSV here")
     p_run.add_argument("--report", default=None, help="write one-row report CSV here")
     p_run.add_argument("--check-invariants", dest="check_invariants",
@@ -424,10 +427,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--reference", default=None,
                        help="deviation reference point, comma-separated")
     p_run.add_argument("--initial-backlog", dest="initial_backlog", default=None)
-    p_run.set_defaults(func=cmd_run)
 
-    p_sweep = sub.add_parser("sweep", parents=[scenario_flags, run_flags],
-                             help="run a V x seed grid")
+    p_sweep = sub.add_parser("sweep", parents=[scenario_flags, run_flags], allow_abbrev=False,
+                             help="run a V x seed grid")  # so --seed is not read as --seeds
     p_sweep.add_argument("--V-list", dest="V_list", required=True,
                          help="comma-separated V values")
     p_sweep.add_argument("--seeds", default="0", help="comma-separated seed values")
@@ -438,7 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="SVG: avg total backlog vs V")
     p_sweep.add_argument("--plot-drops", dest="plot_drops", default=None,
                          help="SVG: drop fraction vs V, log scale")
-    p_sweep.set_defaults(func=cmd_sweep)
 
     p_dual = sub.add_parser("dual", parents=[scenario_flags],
                             help="evaluate or maximize the dual function")
@@ -453,7 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dual.add_argument("--method", choices=("auto", "closed-form", "numeric"),
                         default="auto")
     p_dual.add_argument("--out", default=None, help="CSV output path")
-    p_dual.set_defaults(func=cmd_dual)
 
     p_an = sub.add_parser("analyze", parents=[scenario_flags],
                           help="analyze a recorded trace")
@@ -470,26 +470,20 @@ def build_parser() -> argparse.ArgumentParser:
                       help="placeholder levels for sandwich mode")
     p_an.add_argument("--out", default=None, help="curve CSV output path")
     p_an.add_argument("--plot", default=None, help="SVG output path")
-    p_an.set_defaults(func=cmd_analyze)
 
     p_exp = sub.add_parser("export-scenario", parents=[scenario_flags],
                            help="write a built-in scenario to JSON")
     p_exp.add_argument("--out", required=True)
-    p_exp.set_defaults(func=cmd_export_scenario)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:  # argparse already printed usage
         return int(e.code or 0)
-    if not getattr(args, "func", None):
-        parser.print_help(sys.stderr)
-        return 2
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (UsageError, ValidationError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import ContinuousActions, NetworkSpec, _Record, tables
+from .model import ContinuousActions, NetworkSpec, ValidationError, _Record, tables
 from .scenarios import ScenarioHandle, as_handle
 
 __all__ = [
@@ -180,24 +180,24 @@ def _state_argmin(spec: NetworkSpec, V: float, i: int, u: np.ndarray):
 
 
 def _levels(name: str, x, r: int) -> np.ndarray:
-    """x as r finite, nonnegative floats; a ValueError naming ``name`` otherwise."""
+    """x as r finite, nonnegative floats; a ValidationError naming ``name`` otherwise."""
     v = np.asarray(x, dtype=float)
     if v.shape != (r,):
-        raise ValueError(f"{name} must have shape ({r},), got {v.shape}")
+        raise ValidationError(name, f"must have shape ({r},), got {v.shape}")
     if not (np.isfinite(v) & (v >= 0)).all():
-        raise ValueError(f"{name} must be {r} finite, nonnegative levels, got {v}")
+        raise ValidationError(name, f"must be {r} finite, nonnegative levels, got {v}")
     return v
 
 
 def _check_V(V) -> None:
     if isinstance(V, (bool, np.bool_)) or not (V > 0 and math.isfinite(V)):
-        raise ValueError(f"V must be positive and finite, got {V!r}")
+        raise ValidationError("V", f"must be positive and finite, got {V!r}")
 
 
 def _integer(name: str, x, lo: int) -> int:
-    """x as an int of at least lo (a bool is none); a ValueError naming ``name`` otherwise."""
+    """x as an int of at least lo (a bool is none); a ValidationError naming ``name`` otherwise."""
     if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or x < lo:
-        raise ValueError(f"{name} must be an integer >= {lo}, got {x!r}")
+        raise ValidationError(name, f"must be an integer >= {lo}, got {x!r}")
     return int(x)
 
 

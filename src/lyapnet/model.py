@@ -194,6 +194,7 @@ class NetworkSpec(_Record):
 
         ``_validate`` raises for it on reaching its state, so errors keep state order, and
         ``_validate_action`` names its first bad entry: cost, arrivals[j], then services[j].
+        The stacked costs and traffic are kept in ``_stacks`` for ``tables()``.
         """
         tabs = [(i, st.actions) for i, st in enumerate(self.states) if isinstance(st.actions, list)]
         acts = [a for _, t in tabs for a in t]
@@ -209,6 +210,7 @@ class NetworkSpec(_Record):
             ok = np.isfinite(cost) & ((traffic >= lo) & (traffic <= hi)).all(axis=1)
             if not ok.all():
                 n = int(ok.argmin())
+            self._stacks = cost, traffic
         for i, t in tabs:
             if n < len(t):
                 return i, n
@@ -224,7 +226,7 @@ class NetworkSpec(_Record):
             for j, v in enumerate(vec):
                 if not (-_RANGE_TOL <= v <= self.delta_max + _RANGE_TOL):
                     raise ValidationError(f"{path}.{name}[{j}]",
-                                          f"must lie in [0, delta_max={self.delta_max}], got {v!r}")
+                                          f"must lie in [0, delta_max={self.delta_max}], got {v:g}")
 
     def _validate_continuous(self, path: str, fam: ContinuousActions):
         if not (math.isfinite(fam.lo) and math.isfinite(fam.hi) and fam.lo <= fam.hi):
@@ -433,10 +435,8 @@ def tables(spec: NetworkSpec) -> _Tables:
         return cached
     if not spec.is_finite:
         raise ValueError("tables() requires finite action tables")
-    acts = [a for st in spec.states for a in st.actions]
-    cost_all = np.array([a.cost for a in acts])
-    arr_all = np.concatenate([a.arrivals for a in acts]).reshape(len(acts), spec.r)
-    svc_all = np.concatenate([a.services for a in acts]).reshape(len(acts), spec.r)
+    cost_all, traffic = spec._stacks  # every record's, as validation stacked them
+    arr_all, svc_all = traffic[:, :spec.r], traffic[:, spec.r:]
     sma_all = svc_all - arr_all
     counts = [len(st.actions) for st in spec.states]
     bounds = np.cumsum([0] + counts).tolist()
@@ -447,7 +447,7 @@ def tables(spec: NetworkSpec) -> _Tables:
     svc_rows = [list(svc_all[sl]) for sl in spans]
     # every record's (state, action) position in the padded stacks
     rows = np.repeat(np.arange(spec.n_states), counts)
-    pos = (rows, np.arange(len(acts)) - np.take(bounds, rows))
+    pos = (rows, np.arange(len(cost_all)) - np.take(bounds, rows))
     shape = (spec.n_states, max(counts))
     cost_pad = np.full(shape, np.inf)
     arr_pad, svc_pad = np.zeros(shape + (spec.r,)), np.zeros(shape + (spec.r,))

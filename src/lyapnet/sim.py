@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .dual import _check_V, _finite_argmin, _integer, _levels, per_state_optimum
-from .model import NetworkSpec, _Record, sample_states, substream, tables
+from .model import NetworkSpec, ValidationError, _Record, sample_states, substream, tables
 from .scenarios import ScenarioHandle, as_handle
 from .sched import (
     ALGORITHMS,
@@ -650,7 +650,7 @@ def _setup(config: RunConfig) -> _Setup:
     handle = as_handle(config.scenario)
     spec = handle.spec
     if config.algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {config.algorithm!r}; choose from {ALGORITHMS}")
+        raise ValidationError("algorithm", f"must be one of {ALGORITHMS}, got {config.algorithm!r}")
     slots = _integer("slots", config.slots, 1)
     _check_V(config.V)
     _integer("seed", config.seed, 0)
@@ -662,17 +662,17 @@ def _setup(config: RunConfig) -> _Setup:
     if config.algorithm == "fqla-bisect" and config.bisect_T1 is not None:
         _integer("bisect_T1", config.bisect_T1, 2)
     if config.algorithm == "qla" and config.placeholders is not None:
-        raise ValueError("placeholders apply to the fqla-* algorithms only, not qla")
+        raise ValidationError("placeholders", "apply to the fqla-* algorithms only, not qla")
     if config.algorithm != "qla" and config.initial_backlog is not None:
-        raise ValueError(f"initial_backlog applies to qla only; {config.algorithm} "
-                         "starts W at its placeholders")
+        raise ValidationError("initial_backlog", f"applies to qla only; {config.algorithm} "
+                              "starts W at its placeholders")
     u0 = np.zeros(spec.r)
     if config.initial_backlog is not None:
         u0 = _levels("initial_backlog", config.initial_backlog, spec.r)
     burn_in = (default_burn_in(config.V, slots) if config.burn_in is None
                else _integer("burn_in", config.burn_in, 0))
     if burn_in >= slots:
-        raise ValueError(f"burn_in must lie in [0, slots), got {burn_in}")
+        raise ValidationError("burn_in", f"must lie in [0, slots={slots}), got {burn_in}")
     u_star = _resolve_u_star(handle, config)
     wl = _resolve_placeholders(handle, config) if config.algorithm != "qla" else None
     return _Setup(config, handle, slots, burn_in, u0 if wl is None else wl, wl, u_star)

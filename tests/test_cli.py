@@ -5,6 +5,7 @@ summaries, and the CSV/SVG files each subcommand writes.  The one subprocess
 is a fresh interpreter that checks what ``import lyapnet.cli`` loads.
 """
 
+import gc
 import os
 import subprocess
 import sys
@@ -91,6 +92,18 @@ def test_run_flag_errors_exit_2(argv, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv,field", [
+    (["run", "--scenario", "two-queue", "--V", "-5"], "V"),
+    (["run", "--scenario", "two-queue", "--V", "10", "--slots", "0"], "slots"),
+    (["run", "--scenario", "two-queue", "--V", "10", "--slots", "100", "--burn-in", "200"],
+     "burn_in"),
+    (["dual", "--scenario", "two-queue", "--V", "-1", "--find-opt"], "V"),
+])
+def test_values_the_library_rejects_exit_2_naming_the_field(argv, field, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+
 def test_run_missing_scenario_file_exits_1(tmp_path, capsys):
     code = main(["run", "--file", str(tmp_path / "absent.json"), "--V", "10"])
     err = capsys.readouterr().err
@@ -113,6 +126,49 @@ def test_env_seed_non_integer_warns_and_falls_back(monkeypatch, capsys):
     assert code == 0
     assert "seed=0:" in captured.out
     assert "LYAPNET_SEED" in captured.err
+
+
+def test_env_seed_is_read_by_run_only(monkeypatch, tmp_path, capsys):
+    """Other subcommands never read LYAPNET_SEED, nor does run given --seed."""
+    monkeypatch.setenv("LYAPNET_SEED", "lots")
+    assert main(["export-scenario", "--scenario", "two-queue",
+                 "--out", str(tmp_path / "x.json")]) == 0
+    assert main(["run", "--scenario", "two-queue", "--V", "10", "--slots", "300",
+                 "--seed", "4"]) == 0
+    captured = capsys.readouterr()
+    assert "seed=4:" in captured.out
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--scenario", "two-queue", "--V-list", "20", "--slots", "300", "--report", "r.csv"],
+    ["dual", "--scenario", "two-queue", "--V", "40", "--at", "1,2"],
+    ["analyze", "--scenario", "two-queue", "--V", "40", "--trace", "t.csv", "--mode", "tail"],
+    ["export-scenario", "--scenario", "two-queue", "--out", "x.json"],
+], ids=lambda argv: argv[0])
+def test_only_run_takes_seed(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--seed", "3"]) == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--scenario", "two-queue", "--V", "10", "--slots", "300"],
+    ["dual", "--scenario", "two-queue", "--V", "40", "--at", "1,2"],
+], ids=lambda argv: argv[0])
+def test_repeated_main_call_leaves_no_reference_cycles(argv, capsys):
+    """The parser is built once per process; a later call leaves nothing
+    for the cyclic collector (an argparse build leaves a few hundred objects)."""
+    assert main(argv) == 0
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    capsys.readouterr()
 
 
 def test_no_command_prints_help_exits_2(capsys):
@@ -538,6 +594,19 @@ def test_sweep_parallel_matches_serial_byte_for_byte(tmp_path, capsys):
     capsys.readouterr()
     assert paths["serial"][0].read_bytes() == paths["parallel"][0].read_bytes()
     assert paths["serial"][1].read_bytes() == paths["parallel"][1].read_bytes()
+
+
+def test_in_process_sweep_builds_its_scenario_once(tmp_path, monkeypatch, capsys):
+    names = []
+
+    def counting_by_name(name, by_name=scenarios.by_name):
+        names.append(name)
+        return by_name(name)
+
+    monkeypatch.setattr(scenarios, "by_name", counting_by_name)
+    assert main(SWEEP_ARGS + ["--report", str(tmp_path / "r.csv")]) == 0
+    capsys.readouterr()
+    assert names == ["two-queue"]
 
 
 def test_sweep_bad_v_list_exits_2(tmp_path, capsys):

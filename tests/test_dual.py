@@ -98,13 +98,13 @@ def test_evaluate_dual_rejects_bad_multipliers(tiny_spec):
     with pytest.raises(ValueError, match="nonnegative"):
         evaluate_dual(tiny_spec, 1.0, [1.0, -0.5])
     for u in ([math.nan, math.nan], [math.inf, 0.0], [0.0, -math.inf]):
-        with pytest.raises(ValueError, match="multiplier must be 2 finite, nonnegative"):
+        with pytest.raises(ValueError, match="multiplier: must be 2 finite, nonnegative"):
             evaluate_dual(tiny_spec, 1.0, u)
     with pytest.raises(ValueError, match="finite"):
         rism_step(tiny_spec, 1.0, [math.nan, 1.0], 0)
-    with pytest.raises(ValueError, match="V must be positive"):
+    with pytest.raises(ValueError, match="V: must be positive"):
         evaluate_dual(tiny_spec, 0.0, [1.0, 1.0])
-    with pytest.raises(ValueError, match="V must be positive and finite"):
+    with pytest.raises(ValueError, match="V: must be positive and finite"):
         evaluate_dual(tiny_spec, math.inf, [1.0, 1.0])
 
 
@@ -119,20 +119,20 @@ def _one_state_call(fn, spec, V, state, u):
 
 
 @pytest.mark.parametrize("fn,name,V,state,u,msg", [
-    ("per_state_dual", "two", 1.0, -1, [1.0, 1.0], "state must be an integer >= 0, got -1"),
-    ("per_state_dual", "two", 0.0, 0, [1.0, 1.0], "V must be positive and finite"),
-    ("per_state_dual", "two", 1.0, 0, [1.0, -1.0], "multiplier must be 2 finite"),
-    ("per_state_optimum", "discq", 1.0, -1, None, "state must be an integer >= 0, got -1"),
+    ("per_state_dual", "two", 1.0, -1, [1.0, 1.0], "state: must be an integer >= 0, got -1"),
+    ("per_state_dual", "two", 0.0, 0, [1.0, 1.0], "V: must be positive and finite"),
+    ("per_state_dual", "two", 1.0, 0, [1.0, -1.0], "multiplier: must be 2 finite"),
+    ("per_state_optimum", "discq", 1.0, -1, None, "state: must be an integer >= 0, got -1"),
     ("per_state_optimum", "discq", 1.0, 2, None, "state must be below 2, got 2"),
-    ("per_state_optimum", "discq", math.nan, 0, None, "V must be positive and finite"),
+    ("per_state_optimum", "discq", math.nan, 0, None, "V: must be positive and finite"),
     ("rism_step", "two", 1.0, 8, [1.0, 1.0], "state must be below 8, got 8"),
-    ("rism_step", "two", math.inf, 0, [1.0, 1.0], "V must be positive and finite"),
-    ("rism_step", "two", 1.0, 1.0, [1.0, 1.0], "state must be an integer"),
-    ("qla_decide", "two", 0.0, 0, [1.0, 1.0], "V must be positive and finite"),
-    ("qla_decide", "two", 1.0, 0, [math.nan, 1.0], "multiplier must be 2 finite"),
-    ("qla_decide", "two", 1.0, 0, [1.0, -0.5], "multiplier must be 2 finite"),
-    ("qla_decide", "two", 1.0, True, [1.0, 1.0], "state must be an integer"),
-    ("qla_decide", "discq", 1.0, 0, [1.0, 1.0], r"multiplier must have shape \(1,\)"),
+    ("rism_step", "two", math.inf, 0, [1.0, 1.0], "V: must be positive and finite"),
+    ("rism_step", "two", 1.0, 1.0, [1.0, 1.0], "state: must be an integer"),
+    ("qla_decide", "two", 0.0, 0, [1.0, 1.0], "V: must be positive and finite"),
+    ("qla_decide", "two", 1.0, 0, [math.nan, 1.0], "multiplier: must be 2 finite"),
+    ("qla_decide", "two", 1.0, 0, [1.0, -0.5], "multiplier: must be 2 finite"),
+    ("qla_decide", "two", 1.0, True, [1.0, 1.0], "state: must be an integer"),
+    ("qla_decide", "discq", 1.0, 0, [1.0, 1.0], r"multiplier: must have shape \(1,\)"),
 ])
 def test_one_state_calls_check_v_state_and_u(fn, name, V, state, u, msg, request):
     spec = request.getfixturevalue(name).spec
@@ -473,7 +473,7 @@ def test_theorem2_constants_validation():
         theorem2_constants(3.0, 0.0)
     with pytest.raises(ValueError, match="B >= L"):
         theorem2_constants(1.0, 2.0)
-    with pytest.raises(ValueError, match="V must be positive"):
+    with pytest.raises(ValueError, match="V: must be positive"):
         theorem2_constants(3.0, 0.5, V=-1.0)
 
 

@@ -385,7 +385,7 @@ def _family():
                              services=lambda x: np.array([x, 0.0]), dual_argmin=lambda V, u: 0.0)
 
 
-_RANGE = f"must lie in [0, delta_max=2.0], got {np.float64(2.5)!r}"
+_RANGE = "must lie in [0, delta_max=2.0], got 2.5"
 _MIXED = "mixes finite tables and continuous families; every state must be of state 0's kind"
 
 # (probability, actions) per state, and the (path, message) the per-state
@@ -415,6 +415,13 @@ _ORDER_CASES = {
     "record-then-bad-sum": ([(0.3, _good), (0.3, _bad)],
                             ("states[1].actions[1].arrivals[1]", _RANGE)),
 }
+
+
+def test_range_error_prints_the_value_with_g_format():
+    """The value is a numpy scalar; the message shows 1, not np.float64(1.0)."""
+    with pytest.raises(ValidationError) as err:
+        NetworkSpec("range", 1, 0.5, [StateSpec(1.0, [ActionRecord(0.0, [1.0], [0.0])])])
+    assert str(err.value) == "states[0].actions[0].arrivals[0]: must lie in [0, delta_max=0.5], got 1"
 
 
 @pytest.mark.parametrize("case", list(_ORDER_CASES))

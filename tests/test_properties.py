@@ -727,7 +727,7 @@ def _first_bad_entry(r, delta_max, states):
                 for j, v in enumerate(vec):
                     if not (-1e-12 <= v <= delta_max + 1e-12):
                         return (f"{path}.{name}[{j}]",
-                                f"must lie in [0, delta_max={delta_max}], got {v!r}")
+                                f"must lie in [0, delta_max={delta_max}], got {v:g}")
     return None
 
 

@@ -87,7 +87,7 @@ def test_placeholder_ideal_smooth():
 
 
 def test_placeholder_ideal_validation():
-    with pytest.raises(ValueError, match="V must be positive"):
+    with pytest.raises(ValueError, match="V: must be positive"):
         fqla_placeholder_ideal([10.0], 0.0)
     with pytest.raises(ValueError, match="regime"):
         fqla_placeholder_ideal([10.0], 10.0, regime="curved")
@@ -95,7 +95,7 @@ def test_placeholder_ideal_validation():
 
 @pytest.mark.parametrize("V", [-1.0, math.inf, math.nan])
 def test_placeholder_ideal_rejects_bad_v(V):
-    with pytest.raises(ValueError, match="V must be positive and finite"):
+    with pytest.raises(ValueError, match="V: must be positive and finite"):
         fqla_placeholder_ideal([10.0], V)
 
 
@@ -191,18 +191,18 @@ def test_general_estimate_zero_arrivals(zero_traffic_spec):
 
 @pytest.mark.parametrize("V", [0.0, -1.0, math.inf, math.nan])
 def test_general_estimate_rejects_bad_v(five, V):
-    with pytest.raises(ValueError, match="V must be positive and finite"):
+    with pytest.raises(ValueError, match="V: must be positive and finite"):
         fqla_general_estimate(five, V, T=10, K=2)
 
 
 @pytest.mark.parametrize("kw,msg", [
-    (dict(T=True), "T must be an integer >= 1, got True"),
-    (dict(T=50.5), "T must be an integer >= 1, got 50.5"),
-    (dict(T=0), "T must be an integer >= 1, got 0"),
-    (dict(K=True), "K must be an integer >= 1, got True"),
-    (dict(K=2.5), "K must be an integer >= 1, got 2.5"),
-    (dict(K=0), "K must be an integer >= 1, got 0"),
-    (dict(V=0.01, T=None), "T must be an integer >= 1, got 0"),  # T = int(50 V) = 0
+    (dict(T=True), "T: must be an integer >= 1, got True"),
+    (dict(T=50.5), "T: must be an integer >= 1, got 50.5"),
+    (dict(T=0), "T: must be an integer >= 1, got 0"),
+    (dict(K=True), "K: must be an integer >= 1, got True"),
+    (dict(K=2.5), "K: must be an integer >= 1, got 2.5"),
+    (dict(K=0), "K: must be an integer >= 1, got 0"),
+    (dict(V=0.01, T=None), "T: must be an integer >= 1, got 0"),  # T = int(50 V) = 0
 ])
 def test_general_estimate_rejects_bad_counts(five, kw, msg):
     args = dict(V=10.0, T=10, K=2)
@@ -318,17 +318,17 @@ def test_bisection_depth_budget_warning(discq, monkeypatch):
 
 
 @pytest.mark.parametrize("kw,msg", [
-    (dict(V=0.0), "V must be positive and finite"),
-    (dict(V=-2.0), "V must be positive and finite"),
-    (dict(V=math.inf), "V must be positive and finite"),
-    (dict(V=math.nan), "V must be positive and finite"),
-    (dict(T1=1), "T1 must be an integer >= 2"),
-    (dict(T1=0), "T1 must be an integer >= 2"),
+    (dict(V=0.0), "V: must be positive and finite"),
+    (dict(V=-2.0), "V: must be positive and finite"),
+    (dict(V=math.inf), "V: must be positive and finite"),
+    (dict(V=math.nan), "V: must be positive and finite"),
+    (dict(T1=1), "T1: must be an integer >= 2"),
+    (dict(T1=0), "T1: must be an integer >= 2"),
     (dict(guess=math.nan), "guess must be finite and nonnegative"),
     (dict(guess=math.inf), "guess must be finite and nonnegative"),
-    (dict(T1=2.5), r"T1 must be an integer >= 2, got 2.5"),
-    (dict(T1=True), "T1 must be an integer >= 2"),
-    (dict(T1=np.float64(50.0)), "T1 must be an integer >= 2"),
+    (dict(T1=2.5), r"T1: must be an integer >= 2, got 2.5"),
+    (dict(T1=True), "T1: must be an integer >= 2"),
+    (dict(T1=np.float64(50.0)), "T1: must be an integer >= 2"),
 ])
 def test_bisection_rejects_bad_inputs(discq, kw, msg):
     args = dict(V=100.0, T1=50, rng=0)

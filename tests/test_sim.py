@@ -161,45 +161,45 @@ def test_burn_in_default_rule(five):
 
 @pytest.mark.parametrize("kw,msg", [
     (dict(slots=0), "slots"),
-    (dict(V=0.0), "V must be positive"),
+    (dict(V=0.0), "V: must be positive"),
     (dict(burn_in=5_000), "burn_in"),
-    (dict(algorithm="greedy"), "unknown algorithm"),
-    (dict(V=float("inf")), "V must be positive and finite"),
-    (dict(V=float("nan")), "V must be positive and finite"),
-    (dict(initial_backlog=np.array([1.0, 2.0, 3.0])), r"initial_backlog must have shape \(5,\)"),
-    (dict(initial_backlog=np.array([1.0, 1.0, -1.0, 1.0, 1.0])), "initial_backlog must be"),
-    (dict(initial_backlog=np.array([1.0, 1.0, np.inf, 1.0, 1.0])), "initial_backlog must be"),
+    (dict(algorithm="greedy"), "algorithm: must be one of"),
+    (dict(V=float("inf")), "V: must be positive and finite"),
+    (dict(V=float("nan")), "V: must be positive and finite"),
+    (dict(initial_backlog=np.array([1.0, 2.0, 3.0])), r"initial_backlog: must have shape \(5,\)"),
+    (dict(initial_backlog=np.array([1.0, 1.0, -1.0, 1.0, 1.0])), "initial_backlog: must be"),
+    (dict(initial_backlog=np.array([1.0, 1.0, np.inf, 1.0, 1.0])), "initial_backlog: must be"),
     (dict(algorithm="fqla-ideal", placeholders=np.array([1.0, np.nan, 1.0, 1.0, 1.0])),
-     "placeholders must be 5 finite, nonnegative levels"),
+     "placeholders: must be 5 finite, nonnegative levels"),
     (dict(algorithm="fqla-ideal", placeholders=np.array([1.0, 1.0, 1.0, np.inf, 1.0])),
-     "placeholders must be 5 finite, nonnegative levels"),
+     "placeholders: must be 5 finite, nonnegative levels"),
     (dict(algorithm="fqla-ideal", placeholders=np.array([1.0, 1.0, 1.0, 1.0, -1.0])),
-     "placeholders must be 5 finite, nonnegative levels"),
-    (dict(placeholders=np.zeros(5)), "placeholders apply to the fqla-"),
-    (dict(algorithm="fqla-ideal", initial_backlog=np.ones(5)), "initial_backlog applies to qla"),
+     "placeholders: must be 5 finite, nonnegative levels"),
+    (dict(placeholders=np.zeros(5)), "placeholders: apply to the fqla-"),
+    (dict(algorithm="fqla-ideal", initial_backlog=np.ones(5)), "initial_backlog: applies to qla"),
     (dict(algorithm="fqla-general", initial_backlog=np.ones(5)),
-     "initial_backlog applies to qla"),
-    (dict(algorithm="fqla-bisect", initial_backlog=np.ones(5)), "initial_backlog applies to qla"),
-    (dict(slots=1000.7), "slots must be an integer"),
-    (dict(slots=True), "slots must be an integer"),
-    (dict(burn_in=10.5), "burn_in must be an integer"),
-    (dict(burn_in=True), "burn_in must be an integer"),
-    (dict(V=True), "V must be positive and finite"),
-    (dict(seed=-1), r"seed must be an integer >= 0, got -1"),
-    (dict(deviation_reference=np.ones(1)), r"deviation_reference must have shape \(5,\)"),
+     "initial_backlog: applies to qla"),
+    (dict(algorithm="fqla-bisect", initial_backlog=np.ones(5)), "initial_backlog: applies to qla"),
+    (dict(slots=1000.7), "slots: must be an integer"),
+    (dict(slots=True), "slots: must be an integer"),
+    (dict(burn_in=10.5), "burn_in: must be an integer"),
+    (dict(burn_in=True), "burn_in: must be an integer"),
+    (dict(V=True), "V: must be positive and finite"),
+    (dict(seed=-1), r"seed: must be an integer >= 0, got -1"),
+    (dict(deviation_reference=np.ones(1)), r"deviation_reference: must have shape \(5,\)"),
     (dict(deviation_reference=np.array([1.0, np.nan, 1.0, 1.0, 1.0])),
-     "deviation_reference must be 5 finite, nonnegative levels"),
+     "deviation_reference: must be 5 finite, nonnegative levels"),
     (dict(deviation_reference=np.array([1.0, 1.0, 1.0, 1.0, -1.0])),
-     "deviation_reference must be 5 finite, nonnegative levels"),
-    (dict(stream=True), "stream must be an integer >= 0, got True"),
-    (dict(stream=-1), "stream must be an integer >= 0, got -1"),
-    (dict(stream=1.5), "stream must be an integer >= 0, got 1.5"),
+     "deviation_reference: must be 5 finite, nonnegative levels"),
+    (dict(stream=True), "stream: must be an integer >= 0, got True"),
+    (dict(stream=-1), "stream: must be an integer >= 0, got -1"),
+    (dict(stream=1.5), "stream: must be an integer >= 0, got 1.5"),
     (dict(algorithm="fqla-general", general_T=10.5),
-     "general_T must be an integer >= 1, got 10.5"),
+     "general_T: must be an integer >= 1, got 10.5"),
     (dict(algorithm="fqla-general", general_K=True),
-     "general_K must be an integer >= 1, got True"),
+     "general_K: must be an integer >= 1, got True"),
     (dict(algorithm="fqla-bisect", bisect_T1=2.5),
-     "bisect_T1 must be an integer >= 2, got 2.5"),
+     "bisect_T1: must be an integer >= 2, got 2.5"),
 ])
 def test_run_config_validation(five, kw, msg):
     base = dict(scenario=five, V=50.0, slots=5_000, seed=0)
