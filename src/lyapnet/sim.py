@@ -650,7 +650,7 @@ def _setup(config: RunConfig) -> _Setup:
     handle = as_handle(config.scenario)
     spec = handle.spec
     if config.algorithm not in ALGORITHMS:
-        raise ValidationError("algorithm", f"must be one of {ALGORITHMS}, got {config.algorithm!r}")
+        raise ValidationError("algorithm", f"unknown algorithm {config.algorithm!r}; choose from {ALGORITHMS}")
     slots = _integer("slots", config.slots, 1)
     _check_V(config.V)
     _integer("seed", config.seed, 0)

@@ -118,6 +118,7 @@ def _one_state_call(fn, spec, V, state, u):
     return qla_decide(spec, V, state, u)
 
 
+# each id reads "field message", without the colon the error puts after the field
 @pytest.mark.parametrize("fn,name,V,state,u,msg", [
     ("per_state_dual", "two", 1.0, -1, [1.0, 1.0], "state: must be an integer >= 0, got -1"),
     ("per_state_dual", "two", 0.0, 0, [1.0, 1.0], "V: must be positive and finite"),
@@ -133,7 +134,7 @@ def _one_state_call(fn, spec, V, state, u):
     ("qla_decide", "two", 1.0, 0, [1.0, -0.5], "multiplier: must be 2 finite"),
     ("qla_decide", "two", 1.0, True, [1.0, 1.0], "state: must be an integer"),
     ("qla_decide", "discq", 1.0, 0, [1.0, 1.0], r"multiplier: must have shape \(1,\)"),
-])
+], ids=lambda v: v.replace(": ", " ", 1) if isinstance(v, str) else None)
 def test_one_state_calls_check_v_state_and_u(fn, name, V, state, u, msg, request):
     spec = request.getfixturevalue(name).spec
     with pytest.raises(ValueError, match=msg):

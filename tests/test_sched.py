@@ -195,6 +195,7 @@ def test_general_estimate_rejects_bad_v(five, V):
         fqla_general_estimate(five, V, T=10, K=2)
 
 
+# each id reads "field message", without the colon the error puts after the field
 @pytest.mark.parametrize("kw,msg", [
     (dict(T=True), "T: must be an integer >= 1, got True"),
     (dict(T=50.5), "T: must be an integer >= 1, got 50.5"),
@@ -203,7 +204,7 @@ def test_general_estimate_rejects_bad_v(five, V):
     (dict(K=2.5), "K: must be an integer >= 1, got 2.5"),
     (dict(K=0), "K: must be an integer >= 1, got 0"),
     (dict(V=0.01, T=None), "T: must be an integer >= 1, got 0"),  # T = int(50 V) = 0
-])
+], ids=lambda v: v.replace(": ", " ", 1) if isinstance(v, str) else None)
 def test_general_estimate_rejects_bad_counts(five, kw, msg):
     args = dict(V=10.0, T=10, K=2)
     args.update(kw)
@@ -317,6 +318,7 @@ def test_bisection_depth_budget_warning(discq, monkeypatch):
     assert not res.converged.all()
 
 
+# each id reads "field message", without the colon the error puts after the field
 @pytest.mark.parametrize("kw,msg", [
     (dict(V=0.0), "V: must be positive and finite"),
     (dict(V=-2.0), "V: must be positive and finite"),
@@ -329,7 +331,7 @@ def test_bisection_depth_budget_warning(discq, monkeypatch):
     (dict(T1=2.5), r"T1: must be an integer >= 2, got 2.5"),
     (dict(T1=True), "T1: must be an integer >= 2"),
     (dict(T1=np.float64(50.0)), "T1: must be an integer >= 2"),
-])
+], ids=lambda v: v.replace(": ", " ", 1) if isinstance(v, str) else None)
 def test_bisection_rejects_bad_inputs(discq, kw, msg):
     args = dict(V=100.0, T1=50, rng=0)
     args.update(kw)

@@ -159,11 +159,12 @@ def test_burn_in_default_rule(five):
     assert rep.burn_in == 123
 
 
+# each id reads "field message", without the colon the error puts after the field
 @pytest.mark.parametrize("kw,msg", [
     (dict(slots=0), "slots"),
     (dict(V=0.0), "V: must be positive"),
     (dict(burn_in=5_000), "burn_in"),
-    (dict(algorithm="greedy"), "algorithm: must be one of"),
+    (dict(algorithm="greedy"), "unknown algorithm"),
     (dict(V=float("inf")), "V: must be positive and finite"),
     (dict(V=float("nan")), "V: must be positive and finite"),
     (dict(initial_backlog=np.array([1.0, 2.0, 3.0])), r"initial_backlog: must have shape \(5,\)"),
@@ -200,7 +201,7 @@ def test_burn_in_default_rule(five):
      "general_K: must be an integer >= 1, got True"),
     (dict(algorithm="fqla-bisect", bisect_T1=2.5),
      "bisect_T1: must be an integer >= 2, got 2.5"),
-])
+], ids=lambda v: v.replace(": ", " ", 1) if isinstance(v, str) else None)
 def test_run_config_validation(five, kw, msg):
     base = dict(scenario=five, V=50.0, slots=5_000, seed=0)
     base.update(kw)
