@@ -78,26 +78,19 @@ def _maybe_vector(args, attr: str, r: int):
     return v
 
 
+# RunConfig fields set by the flags of those dests; a flag left out keeps RunConfig's default
+_RUN_FIELDS = ("algorithm", "slots", "stream", "burn_in", "check_invariants", "general_T",
+               "general_K", "bisect_T1", "bisect_guess")
+
+
 def _make_config(args, handle, V: float, seed: int) -> simulation.RunConfig:
     r = handle.spec.r
+    given = {k: v for k, v in vars(args).items() if k in _RUN_FIELDS}
     return simulation.RunConfig(
-        scenario=handle,
-        V=V,
-        algorithm=args.alg,
-        slots=args.slots,
-        seed=seed,
-        stream=args.stream,
-        burn_in=args.burn_in,
-        record_trace=bool(getattr(args, "trace", None)),
-        check_invariants=getattr(args, "check_invariants", False),
+        scenario=handle, V=V, seed=seed, record_trace=bool(getattr(args, "trace", None)),
         deviation_reference=_maybe_vector(args, "reference", r),
         placeholders=_maybe_vector(args, "placeholders", r),
-        general_T=args.general_T,
-        general_K=args.general_K,
-        bisect_T1=args.bisect_T1,
-        bisect_guess=args.bisect_guess,
-        initial_backlog=_maybe_vector(args, "initial_backlog", r),
-    )
+        initial_backlog=_maybe_vector(args, "initial_backlog", r), **given)
 
 
 def _write(path: str, text: str) -> None:
@@ -195,16 +188,17 @@ def cmd_sweep(args) -> int:
         else:
             failures.append(payload)
             print(f"sweep cell failed: {payload}", file=sys.stderr)
-    if reports:
-        simulation.write_report_csv(reports, args.report)
-        print(f"wrote {len(reports)} rows to {args.report}")
+    if not reports:
+        return 1
+    simulation.write_report_csv(reports, args.report)
+    print(f"wrote {len(reports)} rows to {args.report}")
 
-    caption = f"{handle.name} {args.alg} seeds={args.seeds}"
+    caption = f"{handle.name} {reports[0].algorithm} seeds={args.seeds}"
     plots = [(args.plot_backlog, "avg_backlog_total", "Average total backlog vs V",
               "avg total backlog", False),
              (args.plot_drops, "drop_fraction", "Drop fraction vs V", "drop fraction", True)]
     for path, field, title, ylabel, log_y in plots:
-        if not (path and reports):
+        if not path:
             continue
         series = []
         for seed in seeds:
@@ -232,11 +226,6 @@ def cmd_dual(args) -> int:
     handle = _load_scenario(args)
     spec = handle.spec
     r = spec.r
-    modes = sum(fl is not None and fl is not False
-                for fl in (args.at, args.find_opt or None, args.scan))
-    if modes != 1:
-        raise UsageError("choose exactly one of --at, --find-opt, --scan")
-
     if args.at is not None:
         u = _maybe_vector(args, "at", r)
         ev = evaluate_dual(spec, args.V, u)
@@ -403,18 +392,16 @@ def build_parser() -> argparse.ArgumentParser:
     scenario_flags.add_argument("--scenario", help="built-in scenario name")
     scenario_flags.add_argument("--file", help="scenario JSON file")
 
-    run_flags = argparse.ArgumentParser(add_help=False)
-    run_flags.add_argument("--alg", choices=ALGORITHMS, default="qla")
-    run_flags.add_argument("--slots", type=int, default=100_000)
-    run_flags.add_argument("--stream", type=int, default=0,
-                           help="substream index under the seed")
-    run_flags.add_argument("--burn-in", dest="burn_in", type=int, default=None)
-    run_flags.add_argument("--placeholders", default=None,
-                           help="override placeholder levels, comma-separated")
-    run_flags.add_argument("--general-T", dest="general_T", type=int, default=None)
-    run_flags.add_argument("--general-K", dest="general_K", type=int, default=20)
-    run_flags.add_argument("--bisect-T1", dest="bisect_T1", type=int, default=None)
-    run_flags.add_argument("--bisect-guess", dest="bisect_guess", type=float, default=None)
+    run_flags = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    run_flags.add_argument("--alg", dest="algorithm", choices=ALGORITHMS)
+    run_flags.add_argument("--slots", type=int)
+    run_flags.add_argument("--stream", type=int, help="substream index under the seed")
+    run_flags.add_argument("--burn-in", dest="burn_in", type=int)
+    run_flags.add_argument("--placeholders", help="override placeholder levels, comma-separated")
+    run_flags.add_argument("--general-T", dest="general_T", type=int)
+    run_flags.add_argument("--general-K", dest="general_K", type=int)
+    run_flags.add_argument("--bisect-T1", dest="bisect_T1", type=int)
+    run_flags.add_argument("--bisect-guess", dest="bisect_guess", type=float)
 
     p_run = sub.add_parser("run", parents=[scenario_flags, run_flags],
                            help="simulate one run")
@@ -422,8 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, help="RNG seed (default: LYAPNET_SEED or 0)")
     p_run.add_argument("--trace", default=None, help="write per-slot trace CSV here")
     p_run.add_argument("--report", default=None, help="write one-row report CSV here")
-    p_run.add_argument("--check-invariants", dest="check_invariants",
-                       action="store_true")
+    p_run.add_argument("--check-invariants", dest="check_invariants", action="store_true",
+                       default=argparse.SUPPRESS)
     p_run.add_argument("--reference", default=None,
                        help="deviation reference point, comma-separated")
     p_run.add_argument("--initial-backlog", dest="initial_backlog", default=None)
@@ -444,13 +431,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_dual = sub.add_parser("dual", parents=[scenario_flags],
                             help="evaluate or maximize the dual function")
     p_dual.add_argument("--V", type=float, required=True)
-    p_dual.add_argument("--at", default=None,
-                        help="evaluate q at this multiplier, comma-separated")
-    p_dual.add_argument("--find-opt", dest="find_opt", action="store_true",
-                        help="search for the optimal multiplier")
-    p_dual.add_argument("--scan", nargs=3, type=float, default=None,
-                        metavar=("LO", "HI", "STEPS"),
-                        help="grid-scan q over [LO, HI] (r <= 2 only)")
+    mode = p_dual.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--at", help="evaluate q at this multiplier, comma-separated")
+    mode.add_argument("--find-opt", dest="find_opt", action="store_true",
+                      help="search for the optimal multiplier")
+    mode.add_argument("--scan", nargs=3, type=float, metavar=("LO", "HI", "STEPS"),
+                      help="grid-scan q over [LO, HI] (r <= 2 only)")
     p_dual.add_argument("--method", choices=("auto", "closed-form", "numeric"),
                         default="auto")
     p_dual.add_argument("--out", default=None, help="CSV output path")

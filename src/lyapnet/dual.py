@@ -194,6 +194,15 @@ def _check_V(V) -> None:
         raise ValidationError("V", f"must be positive and finite, got {V!r}")
 
 
+def _check_vcost(spec: NetworkSpec, V: float) -> None:
+    """Reject a finite table whose V * cost overflows; the error names V and the cost's path."""
+    for i, c in enumerate(tables(spec).cost):
+        k = int(np.abs(c).argmax())
+        if not math.isfinite(V * float(c[k])):
+            raise ValidationError(f"states[{i}].actions[{k}].cost",
+                                  f"V * cost is not finite at V={V!r} (cost {float(c[k])!r})")
+
+
 def _integer(name: str, x, lo: int) -> int:
     """x as an int of at least lo (a bool is none); a ValidationError naming ``name`` otherwise."""
     if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or x < lo:
@@ -317,6 +326,7 @@ def _finite_lp_maximizer(spec: NetworkSpec, V: float) -> tuple[np.ndarray, int]:
     """
     from scipy.optimize import linprog
 
+    _check_vcost(spec, V)
     tab = tables(spec)
     r, n = spec.r, spec.n_states
     of_state = np.repeat(np.arange(n), [len(c) for c in tab.cost])  # each record's state
@@ -325,6 +335,11 @@ def _finite_lp_maximizer(spec: NetworkSpec, V: float) -> tuple[np.ndarray, int]:
     c = np.concatenate([np.zeros(r), -spec.probs])
     bounds = [(0.0, None)] * r + [(None, None)] * n
     res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    if res.status == 3:
+        margin = check_slackness(spec, 1.0).margin
+        raise ConvergenceError(
+            f"dual LP for {spec.name!r} at V={V} is unbounded: no multiplier stabilizes "
+            f"the queues (check_slackness margin {margin:g})")
     if res.status != 0:
         raise ConvergenceError(
             f"dual LP for {spec.name!r} at V={V} failed: {res.message}")
@@ -369,8 +384,9 @@ def find_optimal_multiplier(scenario, V: float, method: str = "auto",
     then nonincreasing, and U*_V is 0 when G(0) <= 0, else the last float
     with G(u) > 0, found by doubling a bracket from max(1, V) and bisecting
     it to adjacent floats (``iterations`` counts the G evaluations).  An
-    unbounded dual (for a continuous family, G > 0 past u = 1e15) raises
-    :class:`ConvergenceError`.  A maximizer that is not unique is one of many.
+    unbounded dual (an unbounded LP, reported with check_slackness's margin,
+    or G > 0 past u = 1e15) raises :class:`ConvergenceError`.  A maximizer
+    that is not unique is one of many.
 
     With ``method="auto"`` or ``"closed-form"`` a registered closed form is
     returned (``iterations`` 0), certified by the same search: ``probe_ok``

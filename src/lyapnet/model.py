@@ -226,7 +226,7 @@ class NetworkSpec(_Record):
             for j, v in enumerate(vec):
                 if not (-_RANGE_TOL <= v <= self.delta_max + _RANGE_TOL):
                     raise ValidationError(f"{path}.{name}[{j}]",
-                                          f"must lie in [0, delta_max={self.delta_max}], got {v:g}")
+                                          f"must lie in [0, delta_max={self.delta_max}], got {float(v)!r}")
 
     def _validate_continuous(self, path: str, fam: ContinuousActions):
         if not (math.isfinite(fam.lo) and math.isfinite(fam.hi) and fam.lo <= fam.hi):

@@ -16,23 +16,19 @@ and arrivals are throttled only when W dips below the placeholder.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
 from .dual import _check_V, _integer, _one_state, _state_argmin
-from .model import NetworkSpec, _Record, queue_update, substream
+from .model import NetworkSpec, _Record, substream
 from .scenarios import as_handle
 
 __all__ = [
     "Decision",
-    "FqlaState",
     "GeneralEstimate",
     "BisectionResult",
     "qla_decide",
     "fqla_placeholder_ideal",
-    "fqla_start",
-    "fqla_step",
     "fqla_general_estimate",
     "bisection_placeholder",
     "ALGORITHMS",
@@ -48,16 +44,6 @@ class Decision(_Record):
     cost: float
     arrivals: np.ndarray
     services: np.ndarray
-
-
-class FqlaState(_Record):
-    """Running state of a delay-reduced run: actual and virtual backlogs."""
-
-    u: np.ndarray
-    w: np.ndarray
-    placeholders: np.ndarray
-    dropped: np.ndarray
-    admitted: np.ndarray
 
 
 def qla_decide(spec: NetworkSpec, V: float, state: int, u) -> Decision:
@@ -81,7 +67,7 @@ def fqla_placeholder_ideal(u_star, V: float, regime: str = "polyhedral") -> np.n
     Smooth duals spread over O(sqrt(V)) and use
     W_cal = max[U*_V - log^2 V * sqrt(V), 0].  Logs are natural.  run()
     passes "polyhedral" for finite action tables and "smooth" for
-    continuous families.
+    continuous families; the two estimators back off by the polyhedral gap.
     """
     u_star = np.asarray(u_star, dtype=float)
     _check_V(V)
@@ -91,33 +77,6 @@ def fqla_placeholder_ideal(u_star, V: float, regime: str = "polyhedral") -> np.n
     elif regime != "polyhedral":
         raise ValueError(f"unknown regime {regime!r}")
     return np.maximum(u_star - gap, 0.0)
-
-
-def fqla_start(placeholders) -> FqlaState:
-    """Initial delay-reduced state: empty actual queues, W(0) = placeholders."""
-    wl = np.asarray(placeholders, dtype=float)
-    r = wl.shape[0]
-    return FqlaState(np.zeros(r), wl.copy(), wl, np.zeros(r), np.zeros(r))
-
-
-def fqla_step(st: FqlaState, decision: Decision) -> FqlaState:
-    """Advance one slot.
-
-    The virtual backlog follows the plain queue law with the full
-    arrivals.  Actual arrivals are admitted in full while W_j stays at or
-    above the placeholder; below it only the excess over the deficit is
-    admitted and the rest is dropped.
-    """
-    a, mu = decision.arrivals, decision.services
-    deficit = np.maximum(st.placeholders - st.w, 0.0)
-    admit = np.maximum(a - deficit, 0.0)
-    return FqlaState(
-        u=queue_update(st.u, mu, admit),
-        w=queue_update(st.w, mu, a),
-        placeholders=st.placeholders,
-        dropped=st.dropped + (a - admit),
-        admitted=st.admitted + admit,
-    )
 
 
 class GeneralEstimate(_Record):
@@ -161,8 +120,7 @@ def fqla_general_estimate(scenario, V: float, T: "int | None" = None, K: int = 2
     runs = sim._loop(handle.spec, [V] * K, streams, T, np.zeros((K, handle.spec.r)), T)
     finals = np.array([lp.final_w for lp in runs])
     w_mean = finals.mean(axis=0)
-    placeholders = np.maximum(w_mean - math.log(V) ** 2, 0.0)
-    return GeneralEstimate(placeholders, w_mean, T, K)
+    return GeneralEstimate(fqla_placeholder_ideal(w_mean, V), w_mean, T, K)
 
 
 class BisectionResult(_Record):
@@ -242,5 +200,5 @@ def bisection_placeholder(scenario, V: float, T1: "int | None" = None,
             level[j] = 0.5 * (lo_b[j] + hi_b[j])
         if converged.all():
             break
-    placeholders = np.maximum(level - math.log(V) ** 2, 0.0)
-    return BisectionResult(placeholders, level, converged, not bool(converged.all()))
+    return BisectionResult(fqla_placeholder_ideal(level, V), level, converged,
+                           not bool(converged.all()))

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dual import _check_V, _finite_argmin, _integer, _levels, per_state_optimum
+from .dual import _check_V, _check_vcost, _finite_argmin, _integer, _levels, per_state_optimum
 from .model import NetworkSpec, ValidationError, _Record, sample_states, substream, tables
 from .scenarios import ScenarioHandle, as_handle
 from .sched import (
@@ -241,12 +241,13 @@ class AbsorptionReport(_Record):
 #    and the window means of the costs, U and W, streamed in numpy's own
 #    summation order by _WindowMean.
 #
-# Both phases apply the operations of fqla_step in the same order, so
-# decisions and backlogs agree bit for bit with qla_decide / rism_step /
-# fqla_step at every R, and every mean is the bits of numpy's mean over the
-# run's whole series.  A run computes in its current block only; a trace
-# is a copy of each finished block into whole-run arrays, and the
-# invariant scan checks each block as it finishes (both for R = 1 only).
+# Both phases apply the slot rule's operations in the order of its oracle,
+# tests/test_properties.py::reference_loop, so decisions and backlogs agree
+# bit for bit with qla_decide / rism_step / reference_loop at every R, and
+# every mean is the bits of numpy's mean over the run's whole series.  A
+# run computes in its current block only; a trace is a copy of each
+# finished block into whole-run arrays, and the invariant scan checks each
+# block as it finishes (both for R = 1 only).
 # Finite runs at R > 1 without placeholders start with a burn-in prologue
 # that only advances W (see _loop); a placeholder warmup is all prologue.
 
@@ -653,6 +654,8 @@ def _setup(config: RunConfig) -> _Setup:
         raise ValidationError("algorithm", f"unknown algorithm {config.algorithm!r}; choose from {ALGORITHMS}")
     slots = _integer("slots", config.slots, 1)
     _check_V(config.V)
+    if spec.is_finite:
+        _check_vcost(spec, config.V)
     _integer("seed", config.seed, 0)
     _integer("stream", config.stream, 0)
     if config.algorithm == "fqla-general":

@@ -6,9 +6,11 @@ is a fresh interpreter that checks what ``import lyapnet.cli`` loads.
 """
 
 import gc
+import json
 import os
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from xml.sax.saxutils import escape
 
@@ -102,6 +104,33 @@ def test_run_flag_errors_exit_2(argv, capsys):
 def test_values_the_library_rejects_exit_2_naming_the_field(argv, field, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+
+# RunConfig fields behind the flags that run and sweep share
+_RUN_FLAG_FIELDS = {"algorithm", "slots", "stream", "burn_in", "general_T", "general_K",
+                    "bisect_T1", "bisect_guess"}
+
+
+@pytest.mark.parametrize("argv,given", [
+    (["run", "--scenario", "two-queue", "--V", "1"], {}),
+    (["sweep", "--scenario", "two-queue", "--V-list", "1"], {}),
+    (["run", "--scenario", "two-queue", "--V", "1", "--slots", "1000", "--general-K", "3"],
+     {"slots": 1000, "general_K": 3}),
+], ids=["run", "sweep", "run-given-flags"])
+def test_run_defaults_come_from_run_config(argv, given, tmp_path, monkeypatch, capsys):
+    """The CLI passes RunConfig only the run flags it was given."""
+    calls = []
+
+    def recording(*args, real=simulation.RunConfig, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(simulation, "RunConfig", recording)
+    argv = argv + (["--report", str(tmp_path / "r.csv")] if argv[0] == "sweep" else [])
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert [{k: v for k, v in kw.items() if k in _RUN_FLAG_FIELDS} for kw in calls] == [given]
+    assert "check_invariants" not in calls[0]
 
 
 def test_run_missing_scenario_file_exits_1(tmp_path, capsys):
@@ -236,6 +265,15 @@ def test_dual_flag_errors_exit_2(argv, capsys, monkeypatch):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "--scan" in err or "--scan" not in argv
+
+
+@pytest.mark.parametrize("modes,text", [
+    ([], "one of the arguments --at --find-opt --scan is required"),
+    (["--at", "1,2", "--find-opt"], "argument --find-opt: not allowed with argument --at"),
+], ids=["no-mode", "two-modes"])
+def test_dual_takes_exactly_one_mode(modes, text, capsys):
+    assert main(["dual", "--scenario", "two-queue", "--V", "40"] + modes) == 2
+    assert capsys.readouterr().err.rstrip().endswith(f"error: {text}")
 
 
 @pytest.mark.parametrize("steps,code", [("4", 0), ("5", 2)])
@@ -552,6 +590,38 @@ def test_run_file_scenario_fqla_falls_back_to_numeric(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "avg_virtual_total=" in out
+
+
+def _one_state_file(tmp_path, actions):
+    """A one-queue, one-state scenario file with the given (cost, arrival, service) actions."""
+    path = tmp_path / "one-state.json"
+    path.write_text(json.dumps({"name": "one-state", "r": 1, "delta_max": 1.0, "states": [
+        {"prob": 1.0, "actions": [{"cost": c, "arrivals": [a], "services": [b]}
+                                  for c, a, b in actions]}]}), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [["run", "--alg", "qla", "--slots", "100"],
+                                  ["run", "--alg", "fqla-ideal", "--slots", "100"],
+                                  ["dual", "--find-opt"]], ids=["qla", "fqla-ideal", "dual"])
+def test_overflowing_v_cost_exits_2_naming_v_and_the_cost(argv, tmp_path, capsys):
+    path = _one_state_file(tmp_path, [(0.0, 1.0, 0.0), (1e308, 0.0, 1.0)])
+    assert main(argv + ["--file", path, "--V", "100"]) == 2
+    assert capsys.readouterr().err == ("error: states[0].actions[1].cost: V * cost is not "
+                                       "finite at V=100.0 (cost 1e+308)\n")
+
+
+@pytest.mark.parametrize("argv", [["run", "--alg", "fqla-ideal", "--slots", "100"],
+                                  ["dual", "--find-opt"]], ids=["fqla-ideal", "dual"])
+def test_unbounded_dual_exits_1_with_the_slackness_margin(argv, tmp_path, capsys):
+    """One action that only arrives: no multiplier stabilizes the queue."""
+    path = _one_state_file(tmp_path, [(0.0, 1.0, 0.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # run's fallback to the numeric search warns
+        assert main(argv + ["--file", path, "--V", "100"]) == 1
+    assert capsys.readouterr().err == (
+        "error: dual LP for 'one-state' at V=100.0 is unbounded: no multiplier stabilizes "
+        "the queues (check_slackness margin -1)\n")
 
 
 # -- sweep -------------------------------------------------------------------

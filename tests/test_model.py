@@ -317,7 +317,7 @@ def _outcome(fn):
 
 
 def test_every_package_dataclass_shares_the_record_methods():
-    assert len(_RECORDS) == 25
+    assert len(_RECORDS) == 24
     for cls in _RECORDS:
         assert issubclass(cls, _Record), cls
         own = {"__repr__", "__eq__"} & set(vars(cls))
@@ -417,11 +417,15 @@ _ORDER_CASES = {
 }
 
 
-def test_range_error_prints_the_value_with_g_format():
-    """The value is a numpy scalar; the message shows 1, not np.float64(1.0)."""
+@pytest.mark.parametrize("v,text", [(1.0, "1.0"), (np.nextafter(0.5 + 1e-12, np.inf), "0.5000000000010001")],
+                         ids=["one", "just-past-the-bound"])
+def test_range_error_prints_the_value_as_a_python_float(v, text):
+    """The value is a numpy scalar; the message shows its shortest float repr,
+    not np.float64(1.0), and keeps every bit where %g would print the bound 0.5."""
     with pytest.raises(ValidationError) as err:
-        NetworkSpec("range", 1, 0.5, [StateSpec(1.0, [ActionRecord(0.0, [1.0], [0.0])])])
-    assert str(err.value) == "states[0].actions[0].arrivals[0]: must lie in [0, delta_max=0.5], got 1"
+        NetworkSpec("range", 1, 0.5, [StateSpec(1.0, [ActionRecord(0.0, [v], [0.0])])])
+    assert str(err.value) == f"states[0].actions[0].arrivals[0]: must lie in [0, delta_max=0.5], got {text}"
+    assert float(text) == v
 
 
 @pytest.mark.parametrize("case", list(_ORDER_CASES))

@@ -103,8 +103,10 @@ def test_random_placeholders_keep_sandwich_and_change_bound(spec, V, slots, seed
 def reference_loop(spec, V, idx, w0, burn, wl=None):
     """Test-only oracle for ``sim._loop``: the greedy run one slot at a time.
 
-    Every slot decides, then updates W, U, the cost and the drop and
-    arrival sums with r-vector operations, in the order fqla_step uses.
+    Every slot decides, then admits the arrivals that W's deficit below
+    the placeholders leaves, and updates U, W, the cost and the drop and
+    arrival sums with r-vector operations: the FQLA slot rule, and the
+    kernel's bit-for-bit reference.
     """
     r = spec.r
     if spec.is_finite:
@@ -727,7 +729,7 @@ def _first_bad_entry(r, delta_max, states):
                 for j, v in enumerate(vec):
                     if not (-1e-12 <= v <= delta_max + 1e-12):
                         return (f"{path}.{name}[{j}]",
-                                f"must lie in [0, delta_max={delta_max}], got {v:g}")
+                                f"must lie in [0, delta_max={delta_max}], got {float(v)!r}")
     return None
 
 

@@ -13,8 +13,6 @@ from lyapnet.sched import (
     bisection_placeholder,
     fqla_general_estimate,
     fqla_placeholder_ideal,
-    fqla_start,
-    fqla_step,
     qla_decide,
 )
 
@@ -102,37 +100,19 @@ def test_placeholder_ideal_rejects_bad_v(V):
 # -- admit/drop step ---------------------------------------------------------
 
 
-def test_fqla_start_state():
-    st = fqla_start([7.0, 0.0])
-    np.testing.assert_array_equal(st.u, [0.0, 0.0])
-    np.testing.assert_array_equal(st.w, [7.0, 0.0])
-    np.testing.assert_array_equal(st.placeholders, [7.0, 0.0])
-    np.testing.assert_array_equal(st.dropped, [0.0, 0.0])
-    np.testing.assert_array_equal(st.admitted, [0.0, 0.0])
-
-
-def test_fqla_step_by_hand():
-    from lyapnet.sched import Decision, FqlaState
-
-    st = FqlaState(
-        u=np.array([1.0, 4.0]),
-        w=np.array([3.0, 9.0]),
-        placeholders=np.array([5.0, 5.0]),
-        dropped=np.array([0.5, 0.0]),
-        admitted=np.array([2.0, 1.0]),
-    )
-    dec = Decision(0, 1.0, arrivals=np.array([3.0, 1.0]),
-                   services=np.array([2.0, 2.0]))
-    nxt = fqla_step(st, dec)
-    # queue 1 sits 2 below its placeholder: admit 3 - 2 = 1, drop 2;
-    # queue 2 is above its placeholder: admit all
-    np.testing.assert_array_equal(nxt.u, [max(1.0 - 2.0, 0.0) + 1.0,
-                                          max(4.0 - 2.0, 0.0) + 1.0])
-    np.testing.assert_array_equal(nxt.w, [max(3.0 - 2.0, 0.0) + 3.0,
-                                          max(9.0 - 2.0, 0.0) + 1.0])
-    np.testing.assert_array_equal(nxt.dropped, [2.5, 0.0])
-    np.testing.assert_array_equal(nxt.admitted, [3.0, 2.0])
-    np.testing.assert_array_equal(nxt.placeholders, st.placeholders)
+def test_fqla_slot_rule_by_hand():
+    """Two slots of fqla-ideal from W(0) = placeholders = (5, 5) on one action."""
+    spec = NetworkSpec("hand", 2, 3.0, [StateSpec(1.0, [ActionRecord(1.0, [3.0, 1.0], [2.0, 2.0])])])
+    rep = sim.run(sim.RunConfig(spec, 1.0, algorithm="fqla-ideal", slots=2, burn_in=0,
+                                record_trace=True, placeholders=np.array([5.0, 5.0])))
+    # slot 0: W sits at its placeholders, so all of (3, 1) is admitted;
+    # slot 1: queue 2's W = 4 sits 1 below its placeholder, so 1 of its 1 arrival drops
+    np.testing.assert_array_equal(rep.trace.u, [[0.0, 0.0], [3.0, 1.0]])
+    np.testing.assert_array_equal(rep.trace.w, [[5.0, 5.0], [6.0, 4.0]])
+    np.testing.assert_array_equal(rep.trace.dropped, [0.0, 1.0])
+    np.testing.assert_array_equal(rep.drops, [0.0, 1.0])
+    np.testing.assert_array_equal(rep.final_backlog, [4.0, 0.0])
+    np.testing.assert_array_equal(rep.final_virtual, [7.0, 3.0])
 
 
 @pytest.mark.parametrize("name", ["five", "contq"])
