@@ -159,7 +159,6 @@ def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise UsageError(f"--jobs must be a positive number of worker processes, got {args.jobs}")
     handle = _load_scenario(args)
-    r = handle.spec.r
     try:
         v_list = [float(p) for p in args.V_list.split(",")]
         seeds = [int(p) for p in args.seeds.split(",")]
@@ -167,7 +166,8 @@ def cmd_sweep(args) -> int:
         raise UsageError("--V-list and --seeds expect comma-separated numbers")
     if not v_list or not seeds:
         raise UsageError("--V-list and --seeds must be non-empty")
-    _maybe_vector(args, "placeholders", r)  # a bad vector is a usage error, not a cell failure
+    # a bad vector or a flag the algorithm does not read is a usage error, not N cell failures
+    simulation._check_reads(_make_config(args, handle, v_list[0], seeds[0]))
     cells = [(V, seed) for seed in seeds for V in v_list]
     jobs = min(args.jobs, len(cells))  # one contiguous batch of cells per job
     batches = [(args, cells[k * len(cells) // jobs:(k + 1) * len(cells) // jobs])

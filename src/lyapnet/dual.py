@@ -194,8 +194,12 @@ def _check_V(V) -> None:
         raise ValidationError("V", f"must be positive and finite, got {V!r}")
 
 
-def _check_vcost(spec: NetworkSpec, V: float) -> None:
-    """Reject a finite table whose V * cost overflows; the error names V and the cost's path."""
+def _check_vcost(spec: NetworkSpec, V) -> None:
+    """_check_V, then reject a V * cost that overflows a finite table, naming V and the cost's
+    path; the states are searched only when V times the largest |cost| overflows."""
+    _check_V(V)
+    if not spec.is_finite or math.isfinite(V * tables(spec).cost_max):
+        return
     for i, c in enumerate(tables(spec).cost):
         k = int(np.abs(c).argmax())
         if not math.isfinite(V * float(c[k])):
@@ -212,7 +216,7 @@ def _integer(name: str, x, lo: int) -> int:
 
 def _one_state(spec: NetworkSpec, V, state, u=None) -> "np.ndarray | None":
     """Check a one-state call's V, state index and multiplier u (when given); return u."""
-    _check_V(V)
+    _check_vcost(spec, V)
     if _integer("state", state, 0) >= spec.n_states:
         raise ValueError(f"state must be below {spec.n_states}, got {state!r}")
     return None if u is None else _levels("multiplier", u, spec.r)
@@ -225,7 +229,7 @@ def evaluate_dual(spec: NetworkSpec, V: float, u) -> DualEval:
     minimizers; its Euclidean norm never exceeds B.
     """
     u = _levels("multiplier", u, spec.r)
-    _check_V(V)
+    _check_vcost(spec, V)
     value = 0.0
     G = np.zeros(spec.r)
     actions = []
@@ -326,7 +330,6 @@ def _finite_lp_maximizer(spec: NetworkSpec, V: float) -> tuple[np.ndarray, int]:
     """
     from scipy.optimize import linprog
 
-    _check_vcost(spec, V)
     tab = tables(spec)
     r, n = spec.r, spec.n_states
     of_state = np.repeat(np.arange(n), [len(c) for c in tab.cost])  # each record's state
@@ -400,7 +403,7 @@ def find_optimal_multiplier(scenario, V: float, method: str = "auto",
     spec = handle.spec
     if method not in ("auto", "closed-form", "numeric"):
         raise ValueError(f"unknown method {method!r}")
-    _check_V(V)
+    _check_vcost(spec, V)
     closed = method != "numeric" and handle.u_star is not None
     if method == "closed-form" and not closed:
         raise ValueError(f"scenario {spec.name!r} has no registered closed form")

@@ -154,8 +154,8 @@ class NetworkSpec(_Record):
 
     @property
     def is_finite(self) -> bool:
-        """True when every state carries a finite action table."""
-        return all(isinstance(s.actions, list) for s in self.states)
+        """True when every state carries a finite action table (all are of state 0's kind)."""
+        return isinstance(self.states[0].actions, list)
 
     # -- validation ---------------------------------------------------------
 
@@ -426,6 +426,7 @@ class _Tables(_Record):
     arr_pad: np.ndarray
     svc_pad: np.ndarray
     sma_pad: np.ndarray
+    cost_max: float  # the largest |cost| of a record
 
 
 def tables(spec: NetworkSpec) -> _Tables:
@@ -452,6 +453,7 @@ def tables(spec: NetworkSpec) -> _Tables:
     cost_pad = np.full(shape, np.inf)
     arr_pad, svc_pad = np.zeros(shape + (spec.r,)), np.zeros(shape + (spec.r,))
     cost_pad[pos], arr_pad[pos], svc_pad[pos] = cost_all, arr_all, svc_all
-    tab = _Tables(cost, sma, arr_rows, svc_rows, cost_pad, arr_pad, svc_pad, svc_pad - arr_pad)
+    tab = _Tables(cost, sma, arr_rows, svc_rows, cost_pad, arr_pad, svc_pad, svc_pad - arr_pad,
+                  float(np.abs(cost_all).max()))
     spec._tables = tab
     return tab

@@ -15,11 +15,13 @@ bit-identical report.
 from __future__ import annotations
 
 import math
+import warnings
 from typing import Sequence
 
 import numpy as np
 
-from .dual import _check_V, _check_vcost, _finite_argmin, _integer, _levels, per_state_optimum
+from .dual import (_check_vcost, _finite_argmin, _integer, _levels, find_optimal_multiplier,
+                   per_state_optimum)
 from .model import NetworkSpec, ValidationError, _Record, sample_states, substream, tables
 from .scenarios import ScenarioHandle, as_handle
 from .sched import (
@@ -77,13 +79,14 @@ class RunConfig(_Record):
     ``burn_in`` defaults to default_burn_in(V, slots).  ``stream`` selects
     the substream for this run under the shared seed; a sweep passes its
     one --stream to every cell, so the cells of one seed draw the same
-    states at every V.  ``placeholders`` overrides the placeholder rule
-    for delay-reduced algorithms, and ``initial_backlog`` (qla only) sets
-    U(0); each is rejected under the algorithms that would ignore it.
-    Without them fqla-ideal places W_cal at U*_V - ln^2 V on finite action
-    tables and at U*_V - sqrt(V) ln^2 V on continuous families (see
-    fqla_placeholder_ideal).  ``deviation_reference`` overrides the
-    registered U*_V.
+    states at every V.  ``deviation_reference`` overrides the registered
+    U*_V.  ``initial_backlog`` sets U(0) under qla and ``placeholders``
+    W_cal under fqla-*, which otherwise place it by fqla_placeholder_ideal
+    (fqla-ideal) or estimate it from ``general_*`` (fqla-general) or
+    ``bisect_*`` (fqla-bisect).  Each of these six is rejected when set
+    away from its default where unread (_READERS), the four estimator
+    fields also beside ``placeholders``; left out or at its default value
+    (``general_K=20``), it passes under every algorithm.
     ``check_invariants`` turns on the per-slot contract scans
     (nonnegativity, change bound, sandwich), run on each block of slots as
     it finishes, which abort the run with the offending slot.
@@ -595,37 +598,21 @@ def _loop(spec, V, rngs, slots, w0, burn, wl=None, ref=None, paths=False, check=
 # -- run ---------------------------------------------------------------------
 
 
-def _resolve_u_star(handle: ScenarioHandle, config: RunConfig):
-    if config.deviation_reference is not None:
-        return _levels("deviation_reference", config.deviation_reference, handle.spec.r)
-    if handle.u_star is not None:
-        return np.asarray(handle.u_star(config.V), dtype=float)
-    return None
-
-
-def _resolve_placeholders(handle: ScenarioHandle, config: RunConfig) -> np.ndarray:
+def _resolve_placeholders(handle: ScenarioHandle, config: RunConfig, u_star) -> np.ndarray:
     if config.placeholders is not None:
         return _levels("placeholders", config.placeholders, handle.spec.r)
-    V = config.V
     if config.algorithm == "fqla-ideal":
-        u_star = _resolve_u_star(handle, config)
         if u_star is None:
-            import warnings
-
-            from .dual import find_optimal_multiplier
-
             warnings.warn(f"no U*_V available for {handle.name!r}; "
                           "falling back to numeric multiplier search")
-            u_star = find_optimal_multiplier(handle, V).u_star
-        return fqla_placeholder_ideal(u_star, V,
+            u_star = find_optimal_multiplier(handle, config.V).u_star
+        return fqla_placeholder_ideal(u_star, config.V,
                                       "polyhedral" if handle.spec.is_finite else "smooth")
     if config.algorithm == "fqla-general":
-        est = fqla_general_estimate(handle, V, T=config.general_T, K=config.general_K,
-                                    rng=substream(config.seed, config.stream, 1))
-        return est.placeholders
-    res = bisection_placeholder(handle, V, T1=config.bisect_T1, guess=config.bisect_guess,
-                                rng=substream(config.seed, config.stream, 2))
-    return res.placeholders
+        return fqla_general_estimate(handle, config.V, T=config.general_T, K=config.general_K,
+                                     rng=substream(config.seed, config.stream, 1)).placeholders
+    return bisection_placeholder(handle, config.V, T1=config.bisect_T1, guess=config.bisect_guess,
+                                 rng=substream(config.seed, config.stream, 2)).placeholders
 
 
 def default_burn_in(V: float, slots: int) -> int:
@@ -646,29 +633,40 @@ class _Setup(_Record):
     u_star: "np.ndarray | None"
 
 
+# RunConfig's algorithm-specific fields and the algorithms that read them
+_READERS = {"placeholders": ALGORITHMS[1:], "initial_backlog": ("qla",),
+            "general_T": ("fqla-general",), "general_K": ("fqla-general",),
+            "bisect_T1": ("fqla-bisect",), "bisect_guess": ("fqla-bisect",)}
+
+
+def _check_reads(config: RunConfig) -> None:
+    """Reject a field of _READERS set away from its default where it goes unread (see RunConfig)."""
+    for name, readers in _READERS.items():
+        value, default = getattr(config, name), getattr(type(config), name)  # the class's default
+        if value is None if default is None else value == default:
+            continue
+        if config.algorithm not in readers:
+            raise ValidationError(name, f"applies to {', '.join(readers)} only, not {config.algorithm}")
+        if name != "placeholders" and config.placeholders is not None:
+            raise ValidationError(name, f"applies to {config.algorithm} only without placeholders")
+
+
 def _setup(config: RunConfig) -> _Setup:
     """Check a config and resolve it; raises what run() raises for a bad config."""
     handle = as_handle(config.scenario)
     spec = handle.spec
     if config.algorithm not in ALGORITHMS:
         raise ValidationError("algorithm", f"unknown algorithm {config.algorithm!r}; choose from {ALGORITHMS}")
+    _check_reads(config)
     slots = _integer("slots", config.slots, 1)
-    _check_V(config.V)
-    if spec.is_finite:
-        _check_vcost(spec, config.V)
+    _check_vcost(spec, config.V)
     _integer("seed", config.seed, 0)
     _integer("stream", config.stream, 0)
-    if config.algorithm == "fqla-general":
-        if config.general_T is not None:
-            _integer("general_T", config.general_T, 1)
-        _integer("general_K", config.general_K, 1)
-    if config.algorithm == "fqla-bisect" and config.bisect_T1 is not None:
+    if config.general_T is not None:
+        _integer("general_T", config.general_T, 1)
+    _integer("general_K", config.general_K, 1)
+    if config.bisect_T1 is not None:
         _integer("bisect_T1", config.bisect_T1, 2)
-    if config.algorithm == "qla" and config.placeholders is not None:
-        raise ValidationError("placeholders", "apply to the fqla-* algorithms only, not qla")
-    if config.algorithm != "qla" and config.initial_backlog is not None:
-        raise ValidationError("initial_backlog", f"applies to qla only; {config.algorithm} "
-                              "starts W at its placeholders")
     u0 = np.zeros(spec.r)
     if config.initial_backlog is not None:
         u0 = _levels("initial_backlog", config.initial_backlog, spec.r)
@@ -676,8 +674,10 @@ def _setup(config: RunConfig) -> _Setup:
                else _integer("burn_in", config.burn_in, 0))
     if burn_in >= slots:
         raise ValidationError("burn_in", f"must lie in [0, slots={slots}), got {burn_in}")
-    u_star = _resolve_u_star(handle, config)
-    wl = _resolve_placeholders(handle, config) if config.algorithm != "qla" else None
+    u_star = None if handle.u_star is None else np.asarray(handle.u_star(config.V), dtype=float)
+    if config.deviation_reference is not None:
+        u_star = _levels("deviation_reference", config.deviation_reference, spec.r)
+    wl = _resolve_placeholders(handle, config, u_star) if config.algorithm != "qla" else None
     return _Setup(config, handle, slots, burn_in, u0 if wl is None else wl, wl, u_star)
 
 

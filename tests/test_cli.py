@@ -100,10 +100,23 @@ def test_run_flag_errors_exit_2(argv, capsys):
     (["run", "--scenario", "two-queue", "--V", "10", "--slots", "100", "--burn-in", "200"],
      "burn_in"),
     (["dual", "--scenario", "two-queue", "--V", "-1", "--find-opt"], "V"),
+    (["run", "--scenario", "two-queue", "--V", "10", "--alg", "qla", "--general-T", "10"],
+     "general_T"),
+    (["sweep", "--scenario", "two-queue", "--V-list", "10,20", "--seeds", "0,1", "--alg", "qla",
+      "--general-K", "3", "--report", "r.csv"], "general_K"),
 ])
-def test_values_the_library_rejects_exit_2_naming_the_field(argv, field, capsys):
+def test_values_the_library_rejects_exit_2_naming_the_field(argv, field, tmp_path, monkeypatch,
+                                                            capsys):
+    """Each exits 2 before writing anything; the sweep checks its flags
+    once, before any cell runs."""
+    def no_cell(*args, **kwargs):
+        raise AssertionError("a sweep cell ran")
+
+    monkeypatch.setattr(cli, "_sweep_worker", no_cell)
+    monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith(f"error: {field}: ")
+    assert not os.listdir(tmp_path)
 
 
 # RunConfig fields behind the flags that run and sweep share
@@ -114,11 +127,13 @@ _RUN_FLAG_FIELDS = {"algorithm", "slots", "stream", "burn_in", "general_T", "gen
 @pytest.mark.parametrize("argv,given", [
     (["run", "--scenario", "two-queue", "--V", "1"], {}),
     (["sweep", "--scenario", "two-queue", "--V-list", "1"], {}),
-    (["run", "--scenario", "two-queue", "--V", "1", "--slots", "1000", "--general-K", "3"],
-     {"slots": 1000, "general_K": 3}),
+    (["run", "--scenario", "two-queue", "--V", "1", "--slots", "1000", "--alg", "fqla-general",
+      "--general-K", "3"], {"algorithm": "fqla-general", "slots": 1000, "general_K": 3}),
 ], ids=["run", "sweep", "run-given-flags"])
 def test_run_defaults_come_from_run_config(argv, given, tmp_path, monkeypatch, capsys):
-    """The CLI passes RunConfig only the run flags it was given."""
+    """The CLI passes RunConfig only the run flags it was given; a one-cell
+    sweep builds two configs, as it checks its flags on the first cell's
+    before any cell runs."""
     calls = []
 
     def recording(*args, real=simulation.RunConfig, **kwargs):
@@ -129,7 +144,8 @@ def test_run_defaults_come_from_run_config(argv, given, tmp_path, monkeypatch, c
     argv = argv + (["--report", str(tmp_path / "r.csv")] if argv[0] == "sweep" else [])
     assert main(argv) == 0
     capsys.readouterr()
-    assert [{k: v for k, v in kw.items() if k in _RUN_FLAG_FIELDS} for kw in calls] == [given]
+    n = 2 if argv[0] == "sweep" else 1
+    assert [{k: v for k, v in kw.items() if k in _RUN_FLAG_FIELDS} for kw in calls] == [given] * n
     assert "check_invariants" not in calls[0]
 
 
@@ -138,6 +154,13 @@ def test_run_missing_scenario_file_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert "error:" in err
+
+
+def test_run_malformed_scenario_file_exits_2_naming_the_entry(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text("[1, 2]", encoding="utf-8")
+    assert main(["run", "--file", str(path), "--V", "10"]) == 2
+    assert capsys.readouterr().err == "error: $: expected an object, got list\n"
 
 
 def test_env_seed_sets_default(monkeypatch, capsys):
@@ -226,6 +249,17 @@ def test_dual_at_matches_library(capsys):
     got = [float(p) for p in g_line.split("= (")[1].rstrip(")").split(",")]
     np.testing.assert_allclose(got, ev.subgradient, rtol=1e-11, atol=1e-12)
     assert "argmin actions:" in out
+
+
+def test_dual_at_out_writes_the_printed_row(tmp_path, capsys):
+    out_csv = tmp_path / "at.csv"
+    assert main(["dual", "--scenario", "two-queue", "--V", "40", "--at", "30,10",
+                 "--out", str(out_csv)]) == 0
+    out = capsys.readouterr().out
+    q = next(l for l in out.splitlines() if l.startswith("q(U)")).split(" = ")[1]
+    g = next(l for l in out.splitlines() if l.startswith("G(U)")).split(" = ")[1]
+    assert _lines(out_csv) == ["U_1,U_2,q,G_1,G_2", ",".join(["30", "10", q, *g[1:-1].split(", ")])]
+    assert f"wrote {out_csv}" in out
 
 
 @pytest.mark.parametrize("argv", [
@@ -448,6 +482,20 @@ def test_analyze_absorption_single_queue(single_queue_trace, capsys):
     assert "never left" in out
 
 
+def test_analyze_absorption_never_entered_exits_1(tmp_path, capsys):
+    """A 50-slot run at V=1000 climbs by at most 2 packets per slot, far
+    short of the interval's lower end."""
+    trace = tmp_path / "short.csv"
+    assert main(["run", "--scenario", "single-queue-discrete", "--V", "1000", "--slots", "50",
+                 "--seed", "0", "--trace", str(trace)]) == 0
+    capsys.readouterr()
+    code = main(["analyze", "--scenario", "single-queue-discrete", "--V", "1000",
+                 "--trace", str(trace), "--mode", "absorption"])
+    assert code == 1
+    assert capsys.readouterr().out == ("interval = [1135.10166675, inf]\n"
+                                       "never entered the interval\n")
+
+
 def test_analyze_absorption_counts_each_row_once(tmp_path, capsys):
     """The interval is [21.72..., inf) at V=20; the only row outside it
     after entry is the last, so one violation (the last row once, not
@@ -603,7 +651,9 @@ def _one_state_file(tmp_path, actions):
 
 @pytest.mark.parametrize("argv", [["run", "--alg", "qla", "--slots", "100"],
                                   ["run", "--alg", "fqla-ideal", "--slots", "100"],
-                                  ["dual", "--find-opt"]], ids=["qla", "fqla-ideal", "dual"])
+                                  ["dual", "--find-opt"], ["dual", "--at", "5"],
+                                  ["dual", "--scan", "0", "10", "3"]],
+                         ids=["qla", "fqla-ideal", "dual", "dual-at", "dual-scan"])
 def test_overflowing_v_cost_exits_2_naming_v_and_the_cost(argv, tmp_path, capsys):
     path = _one_state_file(tmp_path, [(0.0, 1.0, 0.0), (1e308, 0.0, 1.0)])
     assert main(argv + ["--file", path, "--V", "100"]) == 2

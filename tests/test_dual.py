@@ -27,6 +27,7 @@ from lyapnet.model import (
     ContinuousActions,
     NetworkSpec,
     StateSpec,
+    ValidationError,
     queue_update,
     tables,
 )
@@ -139,6 +140,28 @@ def test_one_state_calls_check_v_state_and_u(fn, name, V, state, u, msg, request
     spec = request.getfixturevalue(name).spec
     with pytest.raises(ValueError, match=msg):
         _one_state_call(fn, spec, V, state, u)
+
+
+@pytest.mark.parametrize("fn", ["evaluate_dual", "per_state_dual", "per_state_optimum",
+                                "rism_step", "qla_decide"])
+def test_overflowing_v_cost_is_rejected_naming_the_cost(fn):
+    """Every entry point checks V * cost: one multiply clears V = 1, and at
+    V = 100 the search names the first overflowing entry, in state 1."""
+    act = ActionRecord(0.0, [1.0], [0.0])
+    spec = NetworkSpec("overflow", 1, 1.0, [
+        StateSpec(0.5, [act, ActionRecord(1.0, [0.0], [1.0])]),
+        StateSpec(0.5, [act, ActionRecord(1e308, [0.0], [1.0])])])
+
+    def call(V):
+        if fn == "evaluate_dual":
+            return evaluate_dual(spec, V, [5.0])
+        return _one_state_call(fn, spec, V, 0, [5.0])
+
+    call(1.0)
+    with pytest.raises(ValidationError) as err:
+        call(100.0)
+    assert str(err.value) == ("states[1].actions[1].cost: V * cost is not finite at V=100.0 "
+                              "(cost 1e+308)")
 
 
 def test_concavity_audit(five):

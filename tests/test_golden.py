@@ -15,7 +15,8 @@ from lyapnet import scenarios, sim
 
 V = 20.0
 SLOTS = 2000
-SHORT = dict(general_T=200, general_K=3, bisect_T1=50)
+# shorter warmups, passed only to the estimator that reads them
+SHORT = {"fqla-general": dict(general_T=200, general_K=3), "fqla-bisect": dict(bisect_T1=50)}
 
 GOLDEN = {
     ("five-queue-chain", "qla"):
@@ -69,7 +70,7 @@ def digest(configs, tmp_path):
 def test_golden_reports(name, algorithm, tmp_path):
     handle = scenarios.by_name(name)
     configs = [sim.RunConfig(scenario=handle, V=V, algorithm=algorithm, slots=SLOTS, seed=seed,
-                             record_trace=True, **SHORT)
+                             record_trace=True, **SHORT.get(algorithm, {}))
                for seed in range(3)]
     assert digest(configs, tmp_path) == GOLDEN[name, algorithm]
 

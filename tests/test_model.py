@@ -207,6 +207,22 @@ def test_spec_from_dict_rejects_unknown_key():
     assert err.value.path == "$.extra"
 
 
+@pytest.mark.parametrize("edit,path", [
+    (lambda d: [d], "$"),
+    (lambda d: {**d, "name": 7}, "name"),
+    (lambda d: {**d, "r": 2.0}, "r"),
+    (lambda d: {**d, "states": {}}, "states"),
+    (lambda d: {**d, "states": ["state"]}, "states[0]"),
+    (lambda d: {**d, "states": [{"prob": 1.0, "actions": {}}]}, "states[0].actions"),
+    (lambda d: {**d, "states": [{"prob": 1.0, "actions": [None]}]}, "states[0].actions[0]"),
+], ids=["top-not-object", "name-not-string", "r-not-integer", "states-not-list",
+        "state-not-object", "actions-not-list", "action-not-object"])
+def test_spec_from_dict_rejects_wrong_types(edit, path):
+    with pytest.raises(ValidationError) as err:
+        spec_from_dict(edit(_tiny_dict()))
+    assert err.value.path == path
+
+
 def test_spec_from_dict_rejects_missing_key():
     d = _tiny_dict()
     del d["states"][0]["actions"][0]["services"]

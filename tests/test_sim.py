@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from lyapnet import scenarios, sim
-from lyapnet.model import tables
+from lyapnet.model import ValidationError, tables
 from lyapnet.sim import (
     RunConfig,
     SimInvariantError,
@@ -176,7 +176,7 @@ def test_burn_in_default_rule(five):
      "placeholders: must be 5 finite, nonnegative levels"),
     (dict(algorithm="fqla-ideal", placeholders=np.array([1.0, 1.0, 1.0, 1.0, -1.0])),
      "placeholders: must be 5 finite, nonnegative levels"),
-    (dict(placeholders=np.zeros(5)), "placeholders: apply to the fqla-"),
+    (dict(placeholders=np.zeros(5)), "placeholders: applies to fqla-.* only, not qla"),
     (dict(algorithm="fqla-ideal", initial_backlog=np.ones(5)), "initial_backlog: applies to qla"),
     (dict(algorithm="fqla-general", initial_backlog=np.ones(5)),
      "initial_backlog: applies to qla"),
@@ -201,12 +201,55 @@ def test_burn_in_default_rule(five):
      "general_K: must be an integer >= 1, got True"),
     (dict(algorithm="fqla-bisect", bisect_T1=2.5),
      "bisect_T1: must be an integer >= 2, got 2.5"),
+    (dict(general_K=0), "general_K: applies to fqla-general only, not qla"),
 ], ids=lambda v: v.replace(": ", " ", 1) if isinstance(v, str) else None)
 def test_run_config_validation(five, kw, msg):
     base = dict(scenario=five, V=50.0, slots=5_000, seed=0)
     base.update(kw)
     with pytest.raises(ValueError, match=msg):
         run(RunConfig(**base))
+
+
+# a value away from the default for each algorithm-specific field, and the
+# fields each algorithm reads
+_SET = dict(placeholders=np.ones(5), initial_backlog=np.ones(5), general_T=30, general_K=3,
+            bisect_T1=10, bisect_guess=5.0)
+_READS = {"qla": {"initial_backlog"}, "fqla-ideal": {"placeholders"},
+          "fqla-general": {"placeholders", "general_T", "general_K"},
+          "fqla-bisect": {"placeholders", "bisect_T1", "bisect_guess"}}
+
+
+@pytest.mark.parametrize("field", list(_SET))
+@pytest.mark.parametrize("algorithm", list(_READS))
+def test_field_set_is_accepted_exactly_where_read(five, algorithm, field):
+    config = RunConfig(scenario=five, V=10.0, slots=300, seed=0, algorithm=algorithm,
+                       **{field: _SET[field]})
+    if field in _READS[algorithm]:
+        run(config)
+    else:
+        with pytest.raises(ValidationError,
+                           match=rf"^{field}: applies to [a-z, -]+ only, not {algorithm}$"):
+            run(config)
+
+
+@pytest.mark.parametrize("algorithm,field", [
+    ("fqla-general", "general_T"), ("fqla-general", "general_K"),
+    ("fqla-bisect", "bisect_T1"), ("fqla-bisect", "bisect_guess")])
+def test_given_placeholders_leave_the_estimator_fields_unread(five, algorithm, field):
+    config = RunConfig(scenario=five, V=10.0, slots=300, seed=0, algorithm=algorithm,
+                       placeholders=np.ones(5), **{field: _SET[field]})
+    with pytest.raises(ValidationError) as err:
+        run(config)
+    assert str(err.value) == f"{field}: applies to {algorithm} only without placeholders"
+
+
+@pytest.mark.parametrize("algorithm", list(_READS))
+def test_fields_left_out_or_at_their_defaults_pass(five, algorithm):
+    base = dict(scenario=five, V=10.0, slots=300, seed=0, algorithm=algorithm)
+    defaults = dict(placeholders=None, initial_backlog=None, general_T=None, general_K=20,
+                    bisect_T1=None, bisect_guess=None)
+    assert (report_csv_row(run(RunConfig(**base, **defaults)))
+            == report_csv_row(run(RunConfig(**base))))
 
 
 def test_averages_cover_the_post_burn_in_window(five):
