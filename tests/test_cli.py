@@ -483,7 +483,7 @@ def test_analyze_absorption_single_queue(single_queue_trace, capsys):
 
 
 def test_analyze_absorption_never_entered_exits_1(tmp_path, capsys):
-    """A 50-slot run at V=1000 climbs by at most 2 packets per slot, far
+    """A 50-slot run at V=1000 climbs by at most B = 1 packet per slot, far
     short of the interval's lower end."""
     trace = tmp_path / "short.csv"
     assert main(["run", "--scenario", "single-queue-discrete", "--V", "1000", "--slots", "50",
